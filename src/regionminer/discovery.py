@@ -41,7 +41,6 @@ class DiscoveryOptions:
     dependency_threshold: float = 0.9
     parallel_pairs: bool = True
     solver: Solver | None = None
-    state_space_bound: int = 100000
 
     def __post_init__(self):
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -105,6 +104,13 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         )
         system = build_constraint_system(pc, retained)
 
+    # also builds the presolve cache once, before any pair solve needs it
+    logger.debug(
+        "constraint system: %d inequality rows, %d equality rows, %d kept by presolve",
+        len(system.inequality_rows),
+        len(system.equality_rows),
+        len(system.independent_equality_rows),
+    )
     pairs = sorted(causal.arcs)
     instances = [instantiate_causal_ilp(system, a, b) for a, b in pairs]
     if options.parallel_pairs and len(instances) > 1:
@@ -117,6 +123,9 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
     skipped: list[Pair] = []
     ordered: list[RegionCandidate] = []
     for pair, solution in zip(pairs, solutions):
+        logger.debug(
+            "pair (%s, %s): %s, objective %s", *pair, solution.status, solution.objective
+        )
         if solution.status != "optimal":
             # cannot happen without filtering (every unfiltered pair has
             # the wrapper solution); a missing place is the harmless outcome

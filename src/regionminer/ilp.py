@@ -12,6 +12,17 @@ constraint bodies are handled by row generation: the simplex runs on an
 active subset and violated rows are added until the relaxed optimum
 satisfies everything, at which point it is the optimum of the full body.
 
+Presolve: the trace-emptiness equalities all read
+``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
+a log can contribute hundreds of them. Before an equality becomes the
+two mandatory ``>=`` rows every relaxation carries, the rows are reduced
+to their first linearly independent subset
+(``ConstraintSystem.independent_equality_rows``, found by exact integer
+elimination and cached on the system, so all pairs and nodes share one
+computation). The subset keeps the original integer rows and spans the
+same affine set, so every relaxation has exactly the same feasible
+region. Re-verification of an optimum still checks every original row.
+
 Determinism: among equal-objective optima the solver returns the
 lexicographically smallest assignment in (m, x, y) order. The objective
 is minimised in a lexicographic product with the assignment itself, which
@@ -20,6 +31,7 @@ makes the optimum unique, so results cannot depend on exploration order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +87,22 @@ def _instance_rows(inst: ILPInstance) -> tuple[Rows, Rows]:
     inequalities.append((cs.min_arc_row(), 1))
     equalities: Rows = [(row.vector, 0) for row in cs.equality_rows]
     return inequalities, equalities
+
+
+def _names_pair(func):
+    """Prefix every SolverError raised for an instance with its pair."""
+
+    @functools.wraps(func)
+    def wrapper(inst: ILPInstance):
+        try:
+            return func(inst)
+        except SolverError as exc:
+            if inst.pair is None:
+                raise
+            a, b = inst.pair
+            raise SolverError(f"pair ({a}, {b}): {exc}") from exc
+
+    return wrapper
 
 
 def _substitute(rows: Rows, free: Sequence[int], assigned: dict[int, int]) -> Rows:
@@ -291,11 +319,12 @@ def _solve_lp_generated(
         pending = [row for row in pending if row not in chosen]
 
 
-def _expand_equalities(equalities: Rows) -> Rows:
+def _expand_equalities(inst: ILPInstance) -> Rows:
+    """The presolved equality rows, each as two mandatory >= rows."""
     out: Rows = []
-    for coefs, rhs in equalities:
-        out.append((coefs, rhs))
-        out.append((tuple(-c for c in coefs), -rhs))
+    for row in inst.system.independent_equality_rows:
+        out.append((row.vector, 0))
+        out.append((tuple(-c for c in row.vector), 0))
     return out
 
 
@@ -305,18 +334,19 @@ def _box_rows(count: int) -> Rows:
     ]
 
 
+@_names_pair
 def lp_relax(inst: ILPInstance) -> LPRelaxation:
     """Continuous relaxation: variables in [0, 1], fixings substituted.
 
     The value is an exact rational lower bound on the binary optimum; it
     cannot be unbounded because every variable is boxed.
     """
-    inequalities, equalities = _instance_rows(inst)
+    inequalities, _ = _instance_rows(inst)
     n = inst.system.n_vars
     fixed = dict(inst.fixings)
     free = [i for i in range(n) if i not in fixed]
     mandatory = _box_rows(len(free)) + _substitute(
-        _expand_equalities(equalities), free, fixed
+        _expand_equalities(inst), free, fixed
     )
     optional = _substitute(inequalities, free, fixed)
     costs = [inst.system.objective[i] for i in free]
@@ -333,25 +363,11 @@ def lp_relax(inst: ILPInstance) -> LPRelaxation:
     return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(full))
 
 
-def _verify(inst: ILPInstance, assignment: Sequence[int]) -> bool:
-    inequalities, equalities = _instance_rows(inst)
-    if any(assignment[i] != v for i, v in inst.fixings.items()):
-        return False
-    if any(v not in (0, 1) for v in assignment):
-        return False
-    for coefs, rhs in inequalities:
-        if sum(c * v for c, v in zip(coefs, assignment) if c) < rhs:
-            return False
-    for coefs, rhs in equalities:
-        if sum(c * v for c, v in zip(coefs, assignment) if c) != rhs:
-            return False
-    return True
-
-
 def _objective_of(inst: ILPInstance, assignment: Sequence[int]) -> int:
     return sum(c * v for c, v in zip(inst.system.objective, assignment))
 
 
+@_names_pair
 def solve(inst: ILPInstance) -> Solution:
     """Globally optimal binary assignment, or infeasible.
 
@@ -362,7 +378,7 @@ def solve(inst: ILPInstance) -> Solution:
     cs = inst.system
     n = cs.n_vars
     inequalities, equalities = _instance_rows(inst)
-    eq_pairs = _expand_equalities(equalities)
+    eq_pairs = _expand_equalities(inst)
     base_fixed = dict(inst.fixings)
     free = [i for i in range(n) if i not in base_fixed]
     depth = len(free)
@@ -377,10 +393,24 @@ def solve(inst: ILPInstance) -> Solution:
     def combined_value(assignment: Sequence[int]) -> int:
         return sum(combined[i] * assignment[i] for i in free)
 
+    def verify(assignment: Sequence[int]) -> bool:
+        # every original row, not only the presolved equalities
+        if any(assignment[i] != v for i, v in base_fixed.items()):
+            return False
+        if any(v not in (0, 1) for v in assignment):
+            return False
+        for coefs, rhs in inequalities:
+            if sum(c * v for c, v in zip(coefs, assignment) if c) < rhs:
+                return False
+        for coefs, rhs in equalities:
+            if sum(c * v for c, v in zip(coefs, assignment) if c) != rhs:
+                return False
+        return True
+
     best_assignment: list[int] | None = None
     best_combined: int | None = None
     for seed in inst.seeds:
-        if len(seed) == n and _verify(inst, seed):
+        if len(seed) == n and verify(seed):
             value = combined_value(seed)
             if best_combined is None or value < best_combined:
                 best_combined = value
@@ -394,7 +424,7 @@ def solve(inst: ILPInstance) -> Solution:
         node_free = [i for i in free if i not in extra]
         if not node_free:
             candidate = [assigned[i] for i in range(n)]
-            if _verify(inst, candidate):
+            if verify(candidate):
                 value = combined_value(candidate)
                 if best_combined is None or value < best_combined:
                     best_combined = value
@@ -420,7 +450,7 @@ def solve(inst: ILPInstance) -> Solution:
                 candidate[i] = v
             for j, i in enumerate(node_free):
                 candidate[i] = int(point[j])
-            if _verify(inst, candidate):
+            if verify(candidate):
                 value = combined_value(candidate)
                 if best_combined is None or value < best_combined:
                     best_combined = value
@@ -434,7 +464,7 @@ def solve(inst: ILPInstance) -> Solution:
 
     if best_assignment is None:
         return Solution(status="infeasible", assignment=None, objective=None)
-    if not _verify(inst, best_assignment):
+    if not verify(best_assignment):
         raise SolverError("internal error: optimum failed re-verification")
     return Solution(
         status="optimal",
@@ -443,6 +473,7 @@ def solve(inst: ILPInstance) -> Solution:
     )
 
 
+@_names_pair
 def brute_force(inst: ILPInstance) -> Solution:
     """Exhaustive oracle over all binary assignments honouring the fixings.
 

@@ -342,6 +342,12 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
     def local(tag: str) -> str:
         return tag.rsplit("}", 1)[-1]
 
+    def attribute(element: ET.Element, name: str) -> str:
+        value = element.get(name)
+        if value is None:
+            raise ParseError(f"<{local(element.tag)}> without {name!r} attribute")
+        return value
+
     places: list[str] = []
     transitions: list[str] = []
     labels: dict[str, str | None] = {}
@@ -349,9 +355,9 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
     for element in root.iter():
         kind = local(element.tag)
         if kind == "place":
-            places.append(element.attrib["id"])
+            places.append(attribute(element, "id"))
         elif kind == "transition":
-            tid = element.attrib["id"]
+            tid = attribute(element, "id")
             transitions.append(tid)
             label: str | None = None
             invisible = False
@@ -365,7 +371,7 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
                         invisible = True
             labels[tid] = None if invisible or not label else label
         elif kind == "arc":
-            arcs.append((element.attrib["source"], element.attrib["target"]))
+            arcs.append((attribute(element, "source"), attribute(element, "target")))
     net = PetriNet(places, transitions, arcs, labels)
     sources = sorted(p for p in net.places if not net.preset[p])
     sinks = sorted(p for p in net.places if not net.postset[p])

@@ -124,6 +124,25 @@ def test_evaluate_mismatched_alphabet_fails(workspace, capsys):
     assert "zzz" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "<place/>",
+        "<transition/>",
+        '<place id="p"/><transition id="t"/><arc target="t"/>',
+        '<place id="p"/><transition id="t"/><arc source="p"/>',
+    ],
+)
+def test_evaluate_pnml_missing_attribute_fails(workspace, capsys, body):
+    bad = workspace / "bad.pnml"
+    bad.write_text(f"<pnml><net><page>{body}</page></net></pnml>")
+    code = main(["evaluate", "--log", str(workspace / "l1.log"), "--pnml", str(bad)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+
+
 def test_noise_command_round_trips(workspace):
     out = workspace / "noisy.log"
     code = main(

@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from regionminer.discovery import (
     discover,
     run_discovery,
 )
+from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog
 from regionminer.ilp import Solution
 from regionminer.petri import (
@@ -113,6 +116,38 @@ def test_infeasible_pair_is_skipped(l1):
     assert result.skipped == (("d", "e"),)
     assert result.pair_regions[("d", "e")] is None
     assert (frozenset({"d"}), frozenset({"e"})) not in _place_signature(result)
+
+
+def test_solver_error_names_the_pair(l1, monkeypatch):
+    from regionminer import ilp
+
+    def stuck(self, cost, allowed):
+        raise SolverError("simplex failed to terminate")
+
+    monkeypatch.setattr(ilp._Simplex, "_run_phase", stuck)
+    with pytest.raises(SolverError) as exc:
+        run_discovery(l1, DiscoveryOptions(parallel_pairs=False))
+    match = re.fullmatch(
+        r"pair \((\w+), (\w+)\): simplex failed to terminate", str(exc.value)
+    )
+    assert match is not None
+    monkeypatch.undo()
+    assert match.groups() == min(run_discovery(l1).pair_regions)
+
+
+def test_debug_log_reports_rows_and_pairs(l1, caplog):
+    with caplog.at_level(logging.DEBUG, logger="regionminer.discovery"):
+        result = run_discovery(l1)
+    messages = [record.getMessage() for record in caplog.records]
+    cs = result.system
+    assert (
+        f"constraint system: {len(cs.inequality_rows)} inequality rows, "
+        f"{len(cs.equality_rows)} equality rows, "
+        f"{len(cs.independent_equality_rows)} kept by presolve"
+    ) in messages
+    pair_lines = [m for m in messages if m.startswith("pair ")]
+    assert len(pair_lines) == len(result.pair_regions)
+    assert any(m.startswith("pair (a, b): optimal, objective ") for m in pair_lines)
 
 
 def test_options_validate_ranges():

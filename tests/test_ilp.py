@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
@@ -252,3 +254,78 @@ def test_filtered_instances_stay_feasible():
         for a, b in admissible_pairs(pc)[:5]:
             assert solve(instantiate_causal_ilp(unfiltered, a, b)).status == "optimal"
             assert solve(instantiate_causal_ilp(filtered, a, b)).status == "optimal"
+
+
+def _rank(vectors):
+    """Rank over the rationals by plain Fraction Gaussian elimination."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", ["l1", "l1_prime"])
+def test_presolve_keeps_spanning_independent_rows(name, request):
+    use, start, end = use_transform(request.getfixturevalue(name))
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    kept = cs.independent_equality_rows
+    assert kept is cs.independent_equality_rows  # built once per system
+    assert len(kept) <= cs.n_activities + 1
+    # the original rows, in their original order
+    positions = [cs.equality_rows.index(row) for row in kept]
+    assert positions == sorted(positions)
+    basis = [row.vector for row in kept]
+    assert _rank(basis) == len(basis)
+    for row in cs.equality_rows:
+        assert _rank(basis + [row.vector]) == len(basis)
+
+
+def _padded(cs, rng):
+    """The system with redundant equality rows mixed in: duplicates, sums
+    and nonzero integer multiples of its own rows."""
+    rows = list(cs.equality_rows)
+    vectors = [row.vector for row in rows]
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["duplicate", "sum", "multiple"])
+        first = rng.choice(vectors)
+        if kind == "duplicate":
+            vector = first
+        elif kind == "sum":
+            second = rng.choice(vectors)
+            vector = tuple(a + b for a, b in zip(first, second))
+        else:
+            factor = rng.choice([-3, -2, -1, 2, 3])
+            vector = tuple(factor * a for a in first)
+        rows.insert(rng.randint(0, len(rows)), Row(vector=vector, source=(), weight=1))
+    return replace(cs, equality_rows=tuple(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_presolve_drops_redundant_equalities(seed):
+    rng = random.Random(seed)
+    pc, cs = random_use_system(
+        rng, max_alphabet=4, max_variants=5, max_length=5, max_multiplicity=9
+    )
+    padded = _padded(cs, rng)
+    basis = [row.vector for row in padded.independent_equality_rows]
+    assert _rank(basis) == len(basis) == len(cs.independent_equality_rows)
+    assert all(_rank(basis + [row.vector]) == len(basis) for row in padded.equality_rows)
+    a, b = rng.choice(admissible_pairs(pc))
+    inst = instantiate_causal_ilp(padded, a, b)
+    fast = solve(inst)
+    oracle = brute_force(inst)
+    assert fast == oracle
+    plain = lp_relax(instantiate_causal_ilp(cs, a, b))
+    relaxed = lp_relax(inst)
+    assert relaxed.status == plain.status
+    assert relaxed.value == plain.value
