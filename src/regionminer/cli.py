@@ -48,11 +48,6 @@ def _add_discovery_flags(parser: argparse.ArgumentParser) -> None:
         default=0.9,
         help="minimum dependency score for a causal arc (default 0.9)",
     )
-    parser.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="solve the per-pair problems sequentially",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +109,6 @@ def _cmd_discover(args) -> int:
     options = DiscoveryOptions(
         alpha=alpha,
         dependency_threshold=args.dependency_threshold,
-        parallel_pairs=not args.no_parallel,
     )
     result = run_discovery(log, options)
     Path(args.out_pnml).write_bytes(export_pnml(result.net))

@@ -5,15 +5,13 @@ and assemble the workflow net.
 One transition per activity plus two silent wrappers; every solved pair
 contributes a place wired by its arc indicators; a fresh source place
 feeds the start wrapper and the end wrapper feeds a fresh sink place.
-Pair order is sorted, duplicate regions collapse into one place, and
-parallel solving cannot change the output because assembly always walks
-the sorted pair order.
+Pairs are solved one after another in sorted order, and duplicate
+regions collapse into one place.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -39,7 +37,6 @@ Solver = Callable[[object], ilp.Solution]
 class DiscoveryOptions:
     alpha: float | None = None  # None switches the frequency filter off
     dependency_threshold: float = 0.9
-    parallel_pairs: bool = True
     solver: Solver | None = None
 
     def __post_init__(self):
@@ -112,19 +109,18 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         len(system.independent_equality_rows),
     )
     pairs = sorted(causal.arcs)
-    instances = [instantiate_causal_ilp(system, a, b) for a, b in pairs]
-    if options.parallel_pairs and len(instances) > 1:
-        with ThreadPoolExecutor() as pool:
-            solutions = list(pool.map(solver, instances))
-    else:
-        solutions = [solver(inst) for inst in instances]
-
     pair_regions: dict[Pair, RegionCandidate | None] = {}
     skipped: list[Pair] = []
     ordered: list[RegionCandidate] = []
-    for pair, solution in zip(pairs, solutions):
+    for pair in pairs:
+        solution = solver(instantiate_causal_ilp(system, *pair))
         logger.debug(
-            "pair (%s, %s): %s, objective %s", *pair, solution.status, solution.objective
+            "pair (%s, %s): %s, objective %s, %d nodes, %d pivots",
+            *pair,
+            solution.status,
+            solution.objective,
+            solution.nodes,
+            solution.pivots,
         )
         if solution.status != "optimal":
             # cannot happen without filtering (every unfiltered pair has

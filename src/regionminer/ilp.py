@@ -12,6 +12,21 @@ constraint bodies are handled by row generation: the simplex runs on an
 active subset and violated rows are added until the relaxed optimum
 satisfies everything, at which point it is the optimum of the full body.
 
+Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
+array, and each fraction-free pivot is the single array expression
+``(piv * T - outer(T[:, col], T[row])) // den`` with the pivot row put
+back afterwards. Fraction-free pivoting keeps every entry an integer, so
+the floor division is exact. Before each pivot a guard checks that every
+entry is below 2**31 in magnitude; then every product stays below 2**62
+and every difference below 2**63, so nothing wraps. When the check fails
+the tableau becomes an ``object`` array of Python ints for the rest of
+that simplex and the same expression runs on it, so any input is solved
+exactly. The cost rows stay lists of Python ints, because the
+lexicographic objective below scales them by 2**depth. The pivot rules
+(entering column, ratio test with its tie-break on the basis index,
+Bland's rule) see the same integers either way, so the pivot sequence
+does not depend on the representation.
+
 Presolve: the trace-emptiness equalities all read
 ``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
 a log can contribute hundreds of them. Before an equality becomes the
@@ -33,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,6 +59,9 @@ from .regions import ILPInstance
 
 _ROW_GENERATION_THRESHOLD = 48
 _ROW_BATCH = 24
+# Bound on every tableau entry before an int64 pivot: each product of two
+# entries then stays below 2**62 and each difference of two below 2**63.
+_INT64_SAFE = 1 << 31
 
 Rows = list[tuple[tuple[int, ...], int]]
 
@@ -53,6 +71,9 @@ class Solution:
     status: str  # "optimal" | "infeasible"
     assignment: tuple[int, ...] | None
     objective: int | None
+    # work counters: they describe the search, not the optimum
+    nodes: int = field(default=0, compare=False)  # branch-and-bound nodes
+    pivots: int = field(default=0, compare=False)  # simplex pivots
 
 
 @dataclass(frozen=True)
@@ -121,12 +142,15 @@ class _Simplex:
     Pivots chosen by the ratio test are positive; the only negative pivots
     occur when driving a degenerate artificial out of the basis, and the
     tableau is renormalised afterwards so the denominator stays positive.
+
+    The constraint rows form one array (see the module docstring); a
+    dropped row is zeroed, so later pivots leave it zero.
     """
 
     def __init__(self, rows: Rows, costs: Sequence[int]):
         self.n = len(costs)
         self.den = 1
-        self.tableau: list[list[int]] = []
+        self.pivots = 0
         self.basis: list[int] = []
         self.dropped: set[int] = set()
         n = self.n
@@ -135,6 +159,7 @@ class _Simplex:
         art_index = {row: k for k, row in enumerate(art_rows)}
         self.width = n + m + len(art_rows) + 1
         self.art_cols = frozenset(n + m + k for k in range(len(art_rows)))
+        lines: list[list[int]] = []
         for i, (coefs, rhs) in enumerate(rows):
             line = [0] * self.width
             if rhs > 0:
@@ -148,7 +173,11 @@ class _Simplex:
                 line[n + i] = 1
                 line[-1] = -rhs
                 self.basis.append(n + i)
-            self.tableau.append(line)
+            lines.append(line)
+        try:
+            self.tableau = np.array(lines, dtype=np.int64).reshape(m, self.width)
+        except OverflowError:
+            self.tableau = np.array(lines, dtype=object).reshape(m, self.width)
         # phase 2 reduced costs (initial basics all cost zero)
         self.cost2 = list(costs) + [0] * (self.width - n)
         # phase 1 reduced costs: unit cost on artificials, basics eliminated
@@ -156,54 +185,53 @@ class _Simplex:
         for col in self.art_cols:
             cost1[col] = 1
         for i in art_rows:
-            row = self.tableau[i]
+            row = lines[i]
             for j in range(self.width):
                 cost1[j] -= row[j]
         self.cost1 = cost1
+        # the rows each pivot updates; phase 1 costs only while they are read
+        self.cost_rows = [cost1, self.cost2] if art_rows else [self.cost2]
 
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.tableau[row][col]
+        tableau = self.tableau
+        if tableau.dtype != object and np.abs(tableau).max() >= _INT64_SAFE:
+            # this pivot might wrap around: go on in Python ints
+            tableau = self.tableau = tableau.astype(object)
+        pivot_row = tableau[row].copy()
+        piv = int(pivot_row[col])
         den = self.den
-        pivot_row = self.tableau[row]
-        for i, current in enumerate(self.tableau):
-            if i == row or i in self.dropped:
-                continue
-            factor = current[col]
-            if factor:
-                self.tableau[i] = [
-                    (piv * a - factor * b) // den for a, b in zip(current, pivot_row)
-                ]
-            elif piv != den:
-                self.tableau[i] = [(piv * a) // den for a in current]
-        for cost in (self.cost1, self.cost2):
+        updated = piv * tableau
+        updated -= tableau[:, col, None] * pivot_row  # outer product
+        updated //= den
+        updated[row] = pivot_row
+        self.tableau = updated
+        pivot_values = pivot_row.tolist()
+        for cost in self.cost_rows:
             factor = cost[col]
             if factor:
                 cost[:] = [
-                    (piv * a - factor * b) // den for a, b in zip(cost, pivot_row)
+                    (piv * a - factor * b) // den for a, b in zip(cost, pivot_values)
                 ]
             elif piv != den:
                 cost[:] = [(piv * a) // den for a in cost]
         self.den = piv
         self.basis[row] = col
+        self.pivots += 1
         if self.den < 0:
             # global sign flip keeps the shared denominator positive
             self.den = -self.den
-            for i in range(len(self.tableau)):
-                if i not in self.dropped:
-                    self.tableau[i] = [-a for a in self.tableau[i]]
-            self.cost1 = [-a for a in self.cost1]
-            self.cost2 = [-a for a in self.cost2]
+            np.negative(self.tableau, out=self.tableau)
+            for cost in self.cost_rows:
+                cost[:] = [-a for a in cost]
 
     def _ratio_row(self, col: int) -> int | None:
         best: int | None = None
         best_rhs = best_coef = 0
-        for i, row in enumerate(self.tableau):
-            if i in self.dropped:
+        rhs_column = self.tableau[:, -1].tolist()
+        for i, coef in enumerate(self.tableau[:, col].tolist()):
+            if i in self.dropped or coef <= 0:
                 continue
-            coef = row[col]
-            if coef <= 0:
-                continue
-            rhs = row[-1]
+            rhs = rhs_column[i]
             if best is None:
                 best, best_rhs, best_coef = i, rhs, coef
                 continue
@@ -244,12 +272,13 @@ class _Simplex:
         for i in range(len(self.tableau)):
             if i in self.dropped or self.basis[i] not in self.art_cols:
                 continue
-            row = self.tableau[i]
+            row = self.tableau[i].tolist()
             col = next((j for j in non_art if row[j] > 0), None)
             if col is None:
                 col = next((j for j in non_art if row[j] != 0), None)
             if col is None:
                 self.dropped.add(i)  # 0 = 0 after substitution, redundant
+                self.tableau[i] = 0
                 continue
             self._pivot(i, col)
 
@@ -257,25 +286,38 @@ class _Simplex:
         non_art = [j for j in range(self.width - 1) if j not in self.art_cols]
         if self.art_cols:
             self._run_phase(self.cost1, non_art)
+            rhs = self.tableau[:, -1].tolist()
             infeasibility = sum(
-                row[-1]
-                for i, row in enumerate(self.tableau)
-                if i not in self.dropped and self.basis[i] in self.art_cols
+                rhs[i]
+                for i, var in enumerate(self.basis)
+                if i not in self.dropped and var in self.art_cols
             )
             if infeasibility > 0:
                 return "infeasible", []
+            self.cost_rows = [self.cost2]
             self._drive_out_artificials(non_art)
         self._run_phase(self.cost2, non_art)
+        rhs = self.tableau[:, -1].tolist()
         values = [Fraction(0)] * self.n
         for i, var in enumerate(self.basis):
             if i in self.dropped:
                 continue
             if var < self.n:
-                values[var] = Fraction(self.tableau[i][-1], self.den)
+                values[var] = Fraction(rhs[i], self.den)
         return "optimal", values
 
 
-def _solve_lp(rows: Rows, costs: Sequence[int]) -> tuple[str, list[Fraction]]:
+@dataclass
+class _Effort:
+    """Work counters of one solve call."""
+
+    nodes: int = 0
+    pivots: int = 0
+
+
+def _solve_lp(
+    rows: Rows, costs: Sequence[int], effort: _Effort | None = None
+) -> tuple[str, list[Fraction]]:
     cleaned: dict[tuple[int, ...], int] = {}
     for coefs, rhs in rows:
         if any(coefs):
@@ -284,11 +326,15 @@ def _solve_lp(rows: Rows, costs: Sequence[int]) -> tuple[str, list[Fraction]]:
                 cleaned[coefs] = rhs
         elif rhs > 0:
             return "infeasible", []
-    return _Simplex(sorted(cleaned.items()), costs).solve()
+    simplex = _Simplex(sorted(cleaned.items()), costs)
+    result = simplex.solve()
+    if effort is not None:
+        effort.pivots += simplex.pivots
+    return result
 
 
 def _solve_lp_generated(
-    mandatory: Rows, optional: Rows, costs: Sequence[int]
+    mandatory: Rows, optional: Rows, costs: Sequence[int], effort: _Effort | None = None
 ) -> tuple[str, list[Fraction]]:
     """Exact LP optimum over mandatory + optional rows.
 
@@ -297,11 +343,11 @@ def _solve_lp_generated(
     is feasible for the full set is optimal for the full set.
     """
     if len(mandatory) + len(optional) <= _ROW_GENERATION_THRESHOLD:
-        return _solve_lp(mandatory + optional, costs)
+        return _solve_lp(mandatory + optional, costs, effort)
     active = list(mandatory)
     pending = list(optional)
     while True:
-        status, point = _solve_lp(active, costs)
+        status, point = _solve_lp(active, costs, effort)
         if status != "optimal":
             return status, point
         common = math.lcm(*(f.denominator for f in point)) if point else 1
@@ -416,9 +462,11 @@ def solve(inst: ILPInstance) -> Solution:
                 best_combined = value
                 best_assignment = list(seed)
 
+    effort = _Effort()
     stack: list[dict[int, int]] = [{}]
     while stack:
         extra = stack.pop()
+        effort.nodes += 1
         assigned = dict(base_fixed)
         assigned.update(extra)
         node_free = [i for i in free if i not in extra]
@@ -435,7 +483,7 @@ def solve(inst: ILPInstance) -> Solution:
         )
         optional = _substitute(inequalities, node_free, assigned)
         costs = [combined[i] for i in node_free]
-        status, point = _solve_lp_generated(mandatory, optional, costs)
+        status, point = _solve_lp_generated(mandatory, optional, costs, effort)
         if status != "optimal":
             continue
         bound = sum(c * p for c, p in zip(costs, point)) + sum(
@@ -463,13 +511,21 @@ def solve(inst: ILPInstance) -> Solution:
         stack.append({**extra, branch_var: 0})
 
     if best_assignment is None:
-        return Solution(status="infeasible", assignment=None, objective=None)
+        return Solution(
+            status="infeasible",
+            assignment=None,
+            objective=None,
+            nodes=effort.nodes,
+            pivots=effort.pivots,
+        )
     if not verify(best_assignment):
         raise SolverError("internal error: optimum failed re-verification")
     return Solution(
         status="optimal",
         assignment=tuple(best_assignment),
         objective=_objective_of(inst, best_assignment),
+        nodes=effort.nodes,
+        pivots=effort.pivots,
     )
 
 

@@ -109,24 +109,39 @@ def _replay_with_insertion(
     return counts
 
 
+def _replay_log(wfnet: WorkflowNet, log: EventLog) -> tuple[_TokenCounts, int, int]:
+    """Multiplicity-weighted token totals over the log, and the number of
+    trace instances that replay without and with token insertion."""
+    transition_of = _check_labels(wfnet, log)
+    totals = _TokenCounts()
+    replayed = blocked = 0
+    for trace, mult in sorted(log.traces.items()):
+        counts = _replay_with_insertion(wfnet, transition_of, trace)
+        totals.produced += mult * counts.produced
+        totals.consumed += mult * counts.consumed
+        totals.missing += mult * counts.missing
+        totals.remaining += mult * counts.remaining
+        if counts.missing == 0 and counts.remaining == 0:
+            replayed += mult
+        else:
+            blocked += mult
+    return totals, replayed, blocked
+
+
+def _fitness(totals: _TokenCounts) -> float:
+    fitness = 0.0
+    if totals.consumed > 0:
+        fitness += 0.5 * max(0.0, 1.0 - totals.missing / totals.consumed)
+    if totals.produced > 0:
+        fitness += 0.5 * max(0.0, 1.0 - totals.remaining / totals.produced)
+    return fitness
+
+
 def token_fitness(wfnet: WorkflowNet, log: EventLog) -> float:
     """Token replay fitness: insert tokens where a firing lacks them, then
     score 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced) over
     the multiplicity-weighted totals. Empty denominators contribute zero."""
-    transition_of = _check_labels(wfnet, log)
-    produced = consumed = missing = remaining = 0
-    for trace, mult in sorted(log.traces.items()):
-        counts = _replay_with_insertion(wfnet, transition_of, trace)
-        produced += mult * counts.produced
-        consumed += mult * counts.consumed
-        missing += mult * counts.missing
-        remaining += mult * counts.remaining
-    fitness = 0.0
-    if consumed > 0:
-        fitness += 0.5 * max(0.0, 1.0 - missing / consumed)
-    if produced > 0:
-        fitness += 0.5 * max(0.0, 1.0 - remaining / produced)
-    return fitness
+    return _fitness(_replay_log(wfnet, log)[0])
 
 
 def _state_after(
@@ -185,29 +200,25 @@ def _precision_masses(wfnet: WorkflowNet, log: EventLog) -> tuple[int, int]:
     return escaping_mass, allowed_mass
 
 
-def escaping_edges_precision(wfnet: WorkflowNet, log: EventLog) -> float:
-    """One minus the weighted share of model-enabled continuations the log
-    never takes, over every replayable log prefix."""
-    escaping_mass, allowed_mass = _precision_masses(wfnet, log)
+def _precision(escaping_mass: int, allowed_mass: int) -> float:
     if allowed_mass == 0:
         return 1.0
     return 1.0 - escaping_mass / allowed_mass
 
 
+def escaping_edges_precision(wfnet: WorkflowNet, log: EventLog) -> float:
+    """One minus the weighted share of model-enabled continuations the log
+    never takes, over every replayable log prefix."""
+    return _precision(*_precision_masses(wfnet, log))
+
+
 def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
     """Fitness, precision and the underlying replay counters."""
-    transition_of = _check_labels(wfnet, log)
-    replayed = blocked = 0
-    for trace, mult in sorted(log.traces.items()):
-        counts = _replay_with_insertion(wfnet, transition_of, trace)
-        if counts.missing == 0 and counts.remaining == 0:
-            replayed += mult
-        else:
-            blocked += mult
+    totals, replayed, blocked = _replay_log(wfnet, log)
     escaping_mass, allowed_mass = _precision_masses(wfnet, log)
     return QualityReport(
-        fitness=token_fitness(wfnet, log),
-        precision=escaping_edges_precision(wfnet, log),
+        fitness=_fitness(totals),
+        precision=_precision(escaping_mass, allowed_mass),
         counts={
             "replayed_traces": replayed,
             "blocked_traces": blocked,

@@ -4,11 +4,17 @@ Randomized suites use fixed seeds; every tolerance is stated inline
 (integer-exact comparisons unless noted).
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import regionminer
 from regionminer.discovery import DiscoveryOptions, discover, run_discovery
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.filtering import (
@@ -320,20 +326,61 @@ def test_criterion_09_noise_trend():
     _report(9, failures)
 
 
-def test_criterion_10_parallel_determinism(l1, l1_prime):
+_CRITERION_10_CASES = [
+    ("l1 unfiltered", "l1", None),
+    ("l1' filtered", "l1_prime", 0.75),
+    ("l1' unfiltered", "l1_prime", None),
+]
+
+# prints the PNML of every criterion-10 case as one hex line each
+_CRITERION_10_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+from regionminer import DiscoveryOptions, discover, export_pnml, parse_trace_log
+data, cases = Path(sys.argv[1]), json.loads(sys.argv[2])
+for _, name, alpha in cases:
+    log = parse_trace_log((data / f"{name}.log").read_text())
+    print(export_pnml(discover(log, DiscoveryOptions(alpha=alpha))).hex())
+"""
+
+
+def test_criterion_10_determinism(request):
+    # set and dict iteration order is the remaining source of
+    # nondeterminism, so string hashing is varied across processes
     failures = []
-    cases = [
-        ("l1 unfiltered", l1, None),
-        ("l1' filtered", l1_prime, 0.75),
-        ("l1' unfiltered", l1_prime, None),
-    ]
-    for name, log, alpha in cases:
-        outputs = []
-        for parallel in (True, False):
-            net = discover(
-                log, DiscoveryOptions(alpha=alpha, parallel_pairs=parallel)
-            )
-            outputs.append(export_pnml(net))
+    expected = []
+    for name, fixture, alpha in _CRITERION_10_CASES:
+        log = request.getfixturevalue(fixture)
+        outputs = [
+            export_pnml(discover(log, DiscoveryOptions(alpha=alpha))) for _ in range(2)
+        ]
         if outputs[0] != outputs[1]:
-            failures.append(f"{name}: parallel and serial PNML differ")
+            failures.append(f"{name}: two in-process runs differ")
+        expected.append(outputs[0])
+    src = Path(regionminer.__file__).resolve().parent.parent
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _CRITERION_10_SCRIPT,
+                str(DATA),
+                json.dumps(_CRITERION_10_CASES),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        if run.returncode != 0:
+            failures.append(f"PYTHONHASHSEED={hash_seed}: {run.stderr.strip()}")
+            continue
+        outputs = [bytes.fromhex(line) for line in run.stdout.split()]
+        for (name, _, _), want, got in zip(_CRITERION_10_CASES, expected, outputs):
+            if got != want:
+                failures.append(f"{name}: PNML differs under PYTHONHASHSEED={hash_seed}")
+        if len(outputs) != len(expected):
+            failures.append(f"PYTHONHASHSEED={hash_seed}: {len(outputs)} nets printed")
     _report(10, failures)

@@ -14,7 +14,6 @@ from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog
 from regionminer.ilp import Solution
 from regionminer.petri import (
-    export_pnml,
     is_wf_net,
     relaxed_soundness_witnesses,
     replay,
@@ -98,12 +97,6 @@ def test_dedupe_places():
     assert dedupe_places([r, other, r]) == [r, other]
 
 
-def test_parallel_and_serial_agree(l1):
-    parallel = discover(l1, DiscoveryOptions(parallel_pairs=True))
-    serial = discover(l1, DiscoveryOptions(parallel_pairs=False))
-    assert export_pnml(parallel) == export_pnml(serial)
-
-
 def test_infeasible_pair_is_skipped(l1):
     from regionminer import ilp
 
@@ -126,7 +119,7 @@ def test_solver_error_names_the_pair(l1, monkeypatch):
 
     monkeypatch.setattr(ilp._Simplex, "_run_phase", stuck)
     with pytest.raises(SolverError) as exc:
-        run_discovery(l1, DiscoveryOptions(parallel_pairs=False))
+        run_discovery(l1)
     match = re.fullmatch(
         r"pair \((\w+), (\w+)\): simplex failed to terminate", str(exc.value)
     )
@@ -148,6 +141,26 @@ def test_debug_log_reports_rows_and_pairs(l1, caplog):
     pair_lines = [m for m in messages if m.startswith("pair ")]
     assert len(pair_lines) == len(result.pair_regions)
     assert any(m.startswith("pair (a, b): optimal, objective ") for m in pair_lines)
+
+
+def test_debug_log_reports_solver_counters(l1, caplog):
+    from regionminer import ilp
+
+    solutions = {}
+
+    def recording_solver(inst):
+        solutions[inst.pair] = ilp.solve(inst)
+        return solutions[inst.pair]
+
+    with caplog.at_level(logging.DEBUG, logger="regionminer.discovery"):
+        run_discovery(l1, DiscoveryOptions(solver=recording_solver))
+    messages = {record.getMessage() for record in caplog.records}
+    for (a, b), solution in solutions.items():
+        assert (
+            f"pair ({a}, {b}): optimal, objective {solution.objective}, "
+            f"{solution.nodes} nodes, {solution.pivots} pivots"
+        ) in messages
+        assert solution.nodes >= 1
 
 
 def test_options_validate_ranges():

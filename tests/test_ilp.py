@@ -2,10 +2,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regionminer import ilp
 from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.ilp import _solve_lp, brute_force, lp_relax, solve
@@ -329,3 +331,72 @@ def test_presolve_drops_redundant_equalities(seed):
     relaxed = lp_relax(inst)
     assert relaxed.status == plain.status
     assert relaxed.value == plain.value
+
+
+def _solve_logging_pivots(inst):
+    """solve and lp_relax on inst, plus the tableau dtype after each pivot."""
+    dtypes = []
+    pivot = ilp._Simplex._pivot
+
+    def spy(self, row, col):
+        pivot(self, row, col)
+        dtypes.append(self.tableau.dtype)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "_pivot", spy)
+        return solve(inst), lp_relax(inst), dtypes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_python_int_fallback_takes_the_same_pivots(seed):
+    inst = random_instance(random.Random(seed))
+    fast, fast_relaxed, fast_dtypes = _solve_logging_pivots(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "_INT64_SAFE", 0)  # every pivot must fall back
+        slow, slow_relaxed, slow_dtypes = _solve_logging_pivots(inst)
+    assert set(fast_dtypes) <= {np.dtype(np.int64)}
+    assert set(slow_dtypes) <= {np.dtype(object)}
+    assert len(slow_dtypes) == len(fast_dtypes)
+    assert (slow.pivots, slow.nodes) == (fast.pivots, fast.nodes)
+    assert slow_relaxed == fast_relaxed
+    oracle = brute_force(inst)
+    assert slow == fast == oracle
+    if oracle.status == "optimal":
+        assert fast_relaxed.value <= oracle.objective
+
+
+def test_coefficients_beyond_int64_pivot_exactly():
+    big = 2**33
+    cs = ConstraintSystem(
+        alphabet=("a", "b"),
+        inequality_rows=(
+            # x(b) = 1 forces x(a) = 1
+            Row(vector=(0, big + 1, -big, 0, 0), source=(), weight=1),
+            # y(a) = 1 forces m = 1 or y(b) = 1
+            Row(vector=(3 * big, 0, 0, -(3 * big) + 7, 3 * big), source=(), weight=1),
+        ),
+        equality_rows=(),
+        objective=(5, 3, 4, 2, 7),
+    )
+    inst = ILPInstance(system=cs, fixings={2: 1, 3: 1})
+    result, _, dtypes = _solve_logging_pivots(inst)
+    assert dtypes and set(dtypes) == {np.dtype(object)}
+    assert result == brute_force(inst)
+    assert result.status == "optimal"
+    # entries too large even to build an int64 array
+    assert _solve_lp([((2**70,), 2**69), ((-1,), -1)], [1]) == (
+        "optimal",
+        [Fraction(1, 2)],
+    )
+
+
+def test_solution_counts_nodes_and_pivots(l1):
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    result = solve(instantiate_causal_ilp(cs, "a", "b"))
+    assert result.nodes >= 1
+    assert result.pivots >= 1
+    oracle = brute_force(instantiate_causal_ilp(cs, "a", "b"))
+    assert (oracle.nodes, oracle.pivots) == (0, 0)
+    assert result == oracle  # the counters describe the search only

@@ -103,6 +103,18 @@ def test_evaluate_report(l1, l1_net):
     assert "precision=" in text
 
 
+@pytest.mark.parametrize("name", ["l1", "l1_prime", "l1_noisy"])
+def test_evaluate_matches_the_public_metrics(name, l1, l1_net, request):
+    if name == "l1_noisy":
+        log = inject_noise(l1, 0.3, seed=5)
+    else:
+        log = request.getfixturevalue(name)
+    report = evaluate(l1_net, log)
+    # exact: evaluate derives both from the same integer totals
+    assert report.fitness == token_fitness(l1_net, log)
+    assert report.precision == escaping_edges_precision(l1_net, log)
+
+
 def test_inject_noise_level_zero_is_identity(l1):
     assert inject_noise(l1, 0.0, seed=42) == l1
 
