@@ -3,12 +3,15 @@ unique-start/end transformation.
 
 An event log is a bag (multiset) of traces; a trace is an ordered sequence
 of activity names. Activity names are non-empty tokens without whitespace
-or ``;`` so they survive the plain-text round trip. All types in this
-module are immutable after construction and safe to share across threads.
+or ``;`` so they survive the plain-text round trip, and without the code
+points XML 1.0 cannot carry (below U+0020, surrogates, U+FFFE, U+FFFF) so
+they survive PNML export. All types in this module are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
@@ -21,10 +24,13 @@ START_TOKEN = "__start__"
 END_TOKEN = "__end__"
 
 
-def _check_activity(name: str, line: int | None = None) -> str:
-    if not name or any(ch.isspace() for ch in name) or ";" in name:
-        raise ParseError(f"invalid activity token {name!r}", line=line)
-    return name
+_FORBIDDEN = re.compile(r"[\s;\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def is_activity_name(name: str) -> bool:
+    """The activity-name rule: non-empty, and no whitespace, ``;`` or
+    code point XML 1.0 cannot carry."""
+    return bool(name) and _FORBIDDEN.search(name) is None
 
 
 @dataclass(frozen=True)
@@ -43,10 +49,10 @@ class EventLog:
         for trace, count in self.traces.items():
             if count < 1:
                 raise ValueError(f"multiplicity of {trace!r} must be >= 1, got {count}")
-            for activity in trace:
-                if not activity or ";" in activity or any(c.isspace() for c in activity):
-                    raise ValueError(f"invalid activity name {activity!r}")
-                occurring.add(activity)
+            occurring.update(trace)
+        for activity in sorted(occurring | self.alphabet):
+            if not is_activity_name(activity):
+                raise ValueError(f"invalid activity name {activity!r}")
         if not occurring <= self.alphabet:
             object.__setattr__(self, "alphabet", self.alphabet | frozenset(occurring))
 
@@ -98,7 +104,10 @@ def parse_trace_log(text: str) -> EventLog:
                 raise ParseError(f"count must be positive, got {count}", line=lineno)
         else:
             count, rest = 1, line
-        trace = tuple(_check_activity(tok, lineno) for tok in rest.split())
+        trace = tuple(rest.split())
+        for activity in trace:
+            if not is_activity_name(activity):
+                raise ParseError(f"invalid activity token {activity!r}", line=lineno)
         bag[trace] = bag.get(trace, 0) + count
     return EventLog(traces=bag)
 

@@ -2,14 +2,23 @@
 
 Markings are sparse bags (place -> positive token count). Nets are
 immutable after construction; replay, exploration and the checkers are
-pure functions, safe to run in parallel over traces.
+pure functions.
+
+Replay rule, shared by ``replay`` and the scores in ``quality``:
+``label_map`` maps each visible label to its one transition, and rejects
+a label the caller will replay that the net lacks and a visible label on
+several transitions. Before each event, and after the last event until
+the final marking, ``silent_walk`` fires the unique enabled silent
+transition until the goal is met. A walk stops when zero or several
+silents are enabled, and after at most |T| + 1 firings, so a silent
+cycle cannot run forever.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 from xml.sax.saxutils import escape, quoteattr
 import xml.etree.ElementTree as ET
 
@@ -55,9 +64,7 @@ class PetriNet:
         for n in nodes:
             self.preset[n] = frozenset(pre[n])
             self.postset[n] = frozenset(post[n])
-
-    def silent_transitions(self) -> list[str]:
-        return sorted(t for t in self.transitions if self.labels[t] is None)
+        self.silents = tuple(sorted(t for t in self.transitions if self.labels[t] is None))
 
     def visible_labels(self) -> set[str]:
         return {label for label in self.labels.values() if label is not None}
@@ -119,55 +126,85 @@ class ReplayResult:
     fired: tuple[str, ...]
 
 
-def _label_transition(net: PetriNet, label: str) -> str:
-    matches = [t for t in net.transitions if net.labels[t] == label]
-    if len(matches) != 1:
-        raise ReplayError(
-            f"label {label!r} maps to {len(matches)} transitions, need exactly one"
-        )
-    return matches[0]
+def label_map(net: PetriNet, labels: Iterable[str]) -> dict[str, str]:
+    """Visible label -> its transition, checked against the ``labels`` the
+    caller will replay: each must be in the net, and no visible label may
+    sit on more than one transition."""
+    transition_of: dict[str, str] = {}
+    ambiguous = set()
+    for t in net.transitions:
+        label = net.labels[t]
+        if label is not None:
+            if label in transition_of:
+                ambiguous.add(label)
+            transition_of[label] = t
+    missing = sorted(set(labels) - transition_of.keys())
+    if missing:
+        raise ReplayError(f"labels missing from the net: {', '.join(missing)}")
+    if ambiguous:
+        raise ReplayError(f"ambiguous labels in the net: {', '.join(sorted(ambiguous))}")
+    return transition_of
 
 
-def _fire_unique_silent(net, marking, fired) -> Marking | None:
-    silents = [t for t in net.silent_transitions() if enabled(net, marking, t)]
-    if len(silents) != 1:
-        return None
-    fired.append(silents[0])
-    return fire(net, marking, silents[0])
+def silent_walk(
+    net: PetriNet, marking: Marking
+) -> Iterator[tuple[Marking, tuple[str, ...]]]:
+    """Yield ``marking``, then each marking reached by firing the unique
+    enabled silent transition, each with the silents fired to reach it.
+    Stops when zero or several silents are enabled, or after |T| + 1
+    firings."""
+    path: tuple[str, ...] = ()
+    yield marking, path
+    for _ in range(len(net.transitions) + 1):
+        ready = [t for t in net.silents if enabled(net, marking, t)]
+        if len(ready) != 1:
+            return
+        marking = fire(net, marking, ready[0])
+        path += (ready[0],)
+        yield marking, path
+
+
+def walk_until(
+    net: PetriNet, marking: Marking, goal: Callable[[Marking], bool]
+) -> tuple[Marking, tuple[str, ...], bool]:
+    """The first marking of the silent walk that meets ``goal`` (else the
+    walk's last one), the silents fired to reach it, and whether it meets
+    ``goal``."""
+    for marking, path in silent_walk(net, marking):
+        if goal(marking):
+            return marking, path, True
+    return marking, path, False
 
 
 def replay(wfnet: WorkflowNet, trace: Trace) -> ReplayResult:
     """Deterministic replay of a visible trace from the source place.
 
-    Silent transitions fire greedily whenever the next visible transition
-    is disabled and exactly one silent transition is enabled; discovery
-    output has just the two wrapper silents at fixed positions, so this
-    rule is complete there. The replay is ok when every event fired and
-    the final marking is exactly one token on the sink.
+    Every label of the trace is checked up front; silents fire by the
+    module's replay rule. Discovery output has just the two wrapper
+    silents at fixed positions, so the rule is complete there. The replay
+    is ok when every event fired and the walk after the last one reaches
+    exactly one token on the sink; otherwise ``blocked_at`` is the index
+    of the event that could not fire (the trace length when the end was
+    not reached), and ``fired`` lists only transitions that did fire.
     """
     net = wfnet.net
+    transition_of = label_map(net, trace)
     marking = wfnet.initial_marking()
     fired: list[str] = []
-    cap = len(net.transitions) + 1
     for index, label in enumerate(trace):
-        transition = _label_transition(net, label)
-        hops = 0
-        while not enabled(net, marking, transition):
-            advanced = _fire_unique_silent(net, marking, fired)
-            hops += 1
-            if advanced is None or hops > cap:
-                return ReplayResult(False, index, marking, tuple(fired))
-            marking = advanced
+        transition = transition_of[label]
+        marking, path, ready = walk_until(
+            net, marking, lambda m: enabled(net, m, transition)
+        )
+        fired += path
+        if not ready:
+            return ReplayResult(False, index, marking, tuple(fired))
         marking = fire(net, marking, transition)
         fired.append(transition)
-    hops = 0
-    while marking != wfnet.final_marking():
-        advanced = _fire_unique_silent(net, marking, fired)
-        hops += 1
-        if advanced is None or hops > cap:
-            return ReplayResult(False, len(trace), marking, tuple(fired))
-        marking = advanced
-    return ReplayResult(True, None, marking, tuple(fired))
+    final = wfnet.final_marking()
+    marking, path, ok = walk_until(net, marking, lambda m: m == final)
+    fired += path
+    return ReplayResult(ok, None if ok else len(trace), marking, tuple(fired))
 
 
 def is_wf_net(net: PetriNet, source: str, sink: str) -> tuple[bool, list[str]]:

@@ -1,9 +1,10 @@
 """Scoring discovered nets and injecting controlled noise into logs.
 
 Fitness is token-based replay with missing-token insertion; precision is
-an escaping-edges measure over the log's prefix states. Both are
-multiplicity-weighted, live in [0, 1] and are invariant under scaling all
-multiplicities by the same factor.
+an escaping-edges measure over the log's prefix states. Both replay by
+the rule stated in ``petri`` (label check, silent walk, hop bound). Both
+are multiplicity-weighted, live in [0, 1] and are invariant under scaling
+all multiplicities by the same factor.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ReplayError
 from .eventlog import EventLog, Trace, prefix_closure
-from .petri import Marking, WorkflowNet, enabled, fire
+from .petri import Marking, WorkflowNet, enabled, fire, label_map, silent_walk, walk_until
 
 
 @dataclass(frozen=True)
@@ -30,110 +30,59 @@ class QualityReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_labels(wfnet: WorkflowNet, log: EventLog) -> dict[str, str]:
-    labels: dict[str, list[str]] = {}
-    for t in wfnet.net.transitions:
-        label = wfnet.net.labels[t]
-        if label is not None:
-            labels.setdefault(label, []).append(t)
-    missing = sorted(a for a in log.alphabet if a not in labels)
-    if missing:
-        raise ReplayError(f"labels missing from the net: {', '.join(missing)}")
-    ambiguous = sorted(label for label, ts in labels.items() if len(ts) > 1)
-    if ambiguous:
-        raise ReplayError(f"ambiguous labels in the net: {', '.join(ambiguous)}")
-    return {label: ts[0] for label, ts in labels.items()}
-
-
-def _silent_step(wfnet: WorkflowNet, marking: Marking) -> tuple[Marking, str] | None:
-    """Fire the unique enabled silent transition, if there is exactly one."""
-    silents = [
-        t for t in wfnet.net.silent_transitions() if enabled(wfnet.net, marking, t)
-    ]
-    if len(silents) != 1:
-        return None
-    return fire(wfnet.net, marking, silents[0]), silents[0]
-
-
-@dataclass
-class _TokenCounts:
-    produced: int = 0
-    consumed: int = 0
-    missing: int = 0
-    remaining: int = 0
-
-
 def _replay_with_insertion(
     wfnet: WorkflowNet, transition_of: dict[str, str], trace: Trace
-) -> _TokenCounts:
+) -> tuple[int, int, int, int]:
+    """Produced, consumed, missing and remaining tokens of one trace: each
+    event fires, with a token inserted on every empty input place when the
+    silent walk cannot enable it; the end consumes a token from the sink."""
     net = wfnet.net
-    counts = _TokenCounts(produced=1)  # the initial token on the source
-    marking = dict(wfnet.initial_marking())
-    cap = len(net.transitions) + 1
-
-    def fire_counted(t: str, state: Marking) -> Marking:
-        counts.consumed += len(net.preset[t])
-        counts.produced += len(net.postset[t])
-        return fire(net, state, t)
-
+    marking = wfnet.initial_marking()
+    fired: list[str] = []
+    missing = 0
     for label in trace:
         t = transition_of[label]
-        hops = 0
-        while not enabled(net, marking, t) and hops <= cap:
-            step = _silent_step(wfnet, marking)
-            if step is None:
-                break
-            marking = fire_counted(step[1], marking)
-            hops += 1
-        if not enabled(net, marking, t):
-            for p in net.preset[t]:
-                if marking.get(p, 0) < 1:
-                    counts.missing += 1
-                    marking[p] = marking.get(p, 0) + 1
-        marking = fire_counted(t, marking)
-    hops = 0
-    while marking != wfnet.final_marking() and hops <= cap:
-        step = _silent_step(wfnet, marking)
-        if step is None:
-            break
-        marking = fire_counted(step[1], marking)
-        hops += 1
-    if marking.get(wfnet.sink, 0) > 0:
-        counts.consumed += 1
-        marking[wfnet.sink] -= 1
-        if marking[wfnet.sink] == 0:
-            del marking[wfnet.sink]
-    else:
-        counts.missing += 1
-    counts.remaining = sum(marking.values())
-    return counts
+        marking, path, ready = walk_until(net, marking, lambda m: enabled(net, m, t))
+        fired += path
+        if not ready:
+            empty = net.preset[t] - marking.keys()
+            missing += len(empty)
+            marking = {**marking, **dict.fromkeys(empty, 1)}
+        marking = fire(net, marking, t)
+        fired.append(t)
+    final = wfnet.final_marking()
+    marking, path, _ = walk_until(net, marking, lambda m: m == final)
+    fired += path
+    ends = marking.get(wfnet.sink, 0) > 0
+    produced = 1 + sum(len(net.postset[t]) for t in fired)  # 1: the source token
+    consumed = ends + sum(len(net.preset[t]) for t in fired)
+    return produced, consumed, missing + (not ends), sum(marking.values()) - ends
 
 
-def _replay_log(wfnet: WorkflowNet, log: EventLog) -> tuple[_TokenCounts, int, int]:
-    """Multiplicity-weighted token totals over the log, and the number of
-    trace instances that replay without and with token insertion."""
-    transition_of = _check_labels(wfnet, log)
-    totals = _TokenCounts()
+def _replay_log(
+    wfnet: WorkflowNet, transition_of: dict[str, str], log: EventLog
+) -> tuple[list[int], int, int]:
+    """Multiplicity-weighted produced, consumed, missing and remaining
+    totals over the log, and the number of trace instances that replay
+    without and with token insertion."""
+    totals = [0, 0, 0, 0]
     replayed = blocked = 0
     for trace, mult in sorted(log.traces.items()):
         counts = _replay_with_insertion(wfnet, transition_of, trace)
-        totals.produced += mult * counts.produced
-        totals.consumed += mult * counts.consumed
-        totals.missing += mult * counts.missing
-        totals.remaining += mult * counts.remaining
-        if counts.missing == 0 and counts.remaining == 0:
+        totals = [total + mult * count for total, count in zip(totals, counts)]
+        if counts[2:] == (0, 0):  # no missing and no remaining tokens
             replayed += mult
         else:
             blocked += mult
     return totals, replayed, blocked
 
 
-def _fitness(totals: _TokenCounts) -> float:
+def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> float:
     fitness = 0.0
-    if totals.consumed > 0:
-        fitness += 0.5 * max(0.0, 1.0 - totals.missing / totals.consumed)
-    if totals.produced > 0:
-        fitness += 0.5 * max(0.0, 1.0 - totals.remaining / totals.produced)
+    if consumed > 0:
+        fitness += 0.5 * max(0.0, 1.0 - missing / consumed)
+    if produced > 0:
+        fitness += 0.5 * max(0.0, 1.0 - remaining / produced)
     return fitness
 
 
@@ -141,62 +90,39 @@ def token_fitness(wfnet: WorkflowNet, log: EventLog) -> float:
     """Token replay fitness: insert tokens where a firing lacks them, then
     score 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced) over
     the multiplicity-weighted totals. Empty denominators contribute zero."""
-    return _fitness(_replay_log(wfnet, log)[0])
+    return _fitness(*_replay_log(wfnet, label_map(wfnet.net, log.alphabet), log)[0])
 
 
-def _state_after(
-    wfnet: WorkflowNet, transition_of: dict[str, str], trace: Trace
-) -> Marking | None:
-    """Marking reached by replaying a prefix, silents fired on demand; None
-    when the prefix does not replay."""
+def _precision_masses(
+    wfnet: WorkflowNet, transition_of: dict[str, str], log: EventLog
+) -> tuple[int, int]:
+    """Escaping and allowed mass over the replayable prefixes. Each
+    prefix's state is its parent's advanced by one event; sorting puts
+    every parent before its children."""
     net = wfnet.net
-    marking = wfnet.initial_marking()
-    cap = len(net.transitions) + 1
-    for label in trace:
-        t = transition_of[label]
-        hops = 0
-        while not enabled(net, marking, t):
-            step = _silent_step(wfnet, marking)
-            hops += 1
-            if step is None or hops > cap:
-                return None
-            marking = step[0]
-        marking = fire(net, marking, t)
-    return marking
-
-
-def _allowed_labels(wfnet: WorkflowNet, marking: Marking) -> set[str]:
-    """Visible labels fireable from the marking, walking greedily through
-    unique enabled silent transitions."""
-    net = wfnet.net
-    allowed = set()
-    cap = len(net.transitions) + 1
-    current = marking
-    for _ in range(cap):
-        for t in net.transitions:
-            label = net.labels[t]
-            if label is not None and enabled(net, current, t):
-                allowed.add(label)
-        step = _silent_step(wfnet, current)
-        if step is None:
-            break
-        current = step[0]
-    return allowed
-
-
-def _precision_masses(wfnet: WorkflowNet, log: EventLog) -> tuple[int, int]:
-    transition_of = _check_labels(wfnet, log)
     pc = prefix_closure(log)
+    states: dict[Trace, Marking] = {(): wfnet.initial_marking()}
     escaping_mass = 0
     allowed_mass = 0
     for prefix, weight in sorted(pc.entries.items()):
-        state = _state_after(wfnet, transition_of, prefix)
+        state = states.pop(prefix, None)
         if state is None:
-            continue
-        allowed = _allowed_labels(wfnet, state)
+            continue  # the prefix does not replay
+        walk = [marking for marking, _ in silent_walk(net, state)]
+        allowed = {
+            label
+            for marking in walk
+            for label, t in transition_of.items()
+            if enabled(net, marking, t)
+        }
         used = {a for a in pc.alphabet if prefix + (a,) in pc.entries}
         escaping_mass += weight * len(allowed - used)
         allowed_mass += weight * len(allowed)
+        for a in used:
+            t = transition_of[a]
+            marking = next((m for m in walk if enabled(net, m, t)), None)
+            if marking is not None:
+                states[prefix + (a,)] = fire(net, marking, t)
     return escaping_mass, allowed_mass
 
 
@@ -209,15 +135,16 @@ def _precision(escaping_mass: int, allowed_mass: int) -> float:
 def escaping_edges_precision(wfnet: WorkflowNet, log: EventLog) -> float:
     """One minus the weighted share of model-enabled continuations the log
     never takes, over every replayable log prefix."""
-    return _precision(*_precision_masses(wfnet, log))
+    return _precision(*_precision_masses(wfnet, label_map(wfnet.net, log.alphabet), log))
 
 
 def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
     """Fitness, precision and the underlying replay counters."""
-    totals, replayed, blocked = _replay_log(wfnet, log)
-    escaping_mass, allowed_mass = _precision_masses(wfnet, log)
+    transition_of = label_map(wfnet.net, log.alphabet)
+    totals, replayed, blocked = _replay_log(wfnet, transition_of, log)
+    escaping_mass, allowed_mass = _precision_masses(wfnet, transition_of, log)
     return QualityReport(
-        fitness=_fitness(totals),
+        fitness=_fitness(*totals),
         precision=_precision(escaping_mass, allowed_mass),
         counts={
             "replayed_traces": replayed,

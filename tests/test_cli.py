@@ -124,6 +124,18 @@ def test_evaluate_mismatched_alphabet_fails(workspace, capsys):
     assert "zzz" in err
 
 
+def test_discover_rejects_a_name_pnml_cannot_carry(workspace, capsys):
+    log = workspace / "x.log"
+    log.write_bytes(b"a\x01b c\na c\n")
+    pnml = workspace / "x.pnml"
+    args = ["discover", "--log", str(log), "--no-filter", "--out-pnml", str(pnml)]
+    assert main(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line 1: ")
+    assert not pnml.exists()
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionminer.discovery import (
     DiscoveryOptions,
@@ -14,7 +16,10 @@ from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog
 from regionminer.ilp import Solution
 from regionminer.petri import (
+    export_pnml,
     is_wf_net,
+    parse_pnml,
+    relaxed_soundness_by_exploration,
     relaxed_soundness_witnesses,
     replay,
 )
@@ -186,6 +191,55 @@ def test_random_logs_yield_wf_nets_with_witnesses():
         assert all(w is not None for w in witnesses.values())
         for trace in log.traces:
             assert replay(result.net, trace).ok
+
+
+def test_witness_coverage_agrees_with_exploration():
+    # full coverage certifies relaxed soundness, so the explorer may only
+    # fail to decide, never disagree
+    rng = random.Random(4242)
+    verdicts = []
+    for _ in range(40):
+        log = random_log(
+            rng, max_alphabet=5, max_variants=6, max_length=5, max_multiplicity=9
+        )
+        net = discover(log, DiscoveryOptions(alpha=rng.choice([None, 0.75])))
+        witnesses = relaxed_soundness_witnesses(net, log)
+        if all(w is not None for w in witnesses.values()):
+            verdicts.append(relaxed_soundness_by_exploration(net, bound=20000))
+    assert set(verdicts) <= {"sound", "undecided"}
+    assert verdicts.count("sound") >= 20
+
+
+_NAMES = st.text(
+    alphabet=st.sampled_from(list("<>&\"'ab") + ["é", "ß", "λ", "中", "😀"]),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _xml_hostile_logs(draw):
+    alphabet = draw(st.lists(_NAMES, min_size=2, max_size=4, unique=True))
+    trace = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4)
+    pairs = draw(
+        st.lists(st.tuples(trace, st.integers(1, 5)), min_size=1, max_size=4)
+    )
+    return EventLog.from_pairs(pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_xml_hostile_logs())
+def test_pnml_round_trip_of_discovered_nets(log):
+    for alpha in (None, 0.75):
+        net = discover(log, DiscoveryOptions(alpha=alpha))
+        data = export_pnml(net)
+        back = parse_pnml(data)
+        assert back == net
+        assert export_pnml(back) == data
+        if alpha is None:
+            assert all(replay(back, trace).ok for trace in log.traces)
+            witnesses = relaxed_soundness_witnesses(back, log)
+            assert all(w is not None for w in witnesses.values())
 
 
 def test_discovery_dot_is_wellformed(l1_result):

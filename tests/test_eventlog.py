@@ -240,3 +240,10 @@ def test_event_log_rejects_invalid_activity_names():
         EventLog(traces={("a;b",): 1})
     with pytest.raises(ValueError):
         EventLog(traces={("",): 1})
+    # code points XML 1.0 cannot carry, which PNML export would emit
+    for name in ("a\x01b", "\x1f", "\ud800", "a\ufffe", "\uffff"):
+        with pytest.raises(ValueError):
+            EventLog(traces={(name,): 1})
+    with pytest.raises(ValueError):
+        EventLog(traces={}, alphabet=frozenset({"a b"}))
+    assert EventLog(traces={("<é&>\"'\x7f",): 1}).alphabet == {"<é&>\"'\x7f"}

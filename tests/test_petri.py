@@ -18,6 +18,7 @@ from regionminer.petri import (
     relaxed_soundness_witnesses,
     replay,
 )
+from regionminer.quality import token_fitness
 
 
 @pytest.fixture()
@@ -96,6 +97,63 @@ def test_replay_ambiguous_label():
     )
     with pytest.raises(ReplayError):
         replay(WorkflowNet(net=net, source="p", sink="q"), ("a",))
+
+
+def test_replay_checks_every_label_up_front(w1):
+    # the trace blocks at index 1, before the unknown label is reached
+    with pytest.raises(ReplayError, match="z"):
+        replay(w1, ("a", "g", "z"))
+
+
+def test_replay_rejects_a_duplicated_label_it_does_not_use(w1):
+    net = PetriNet(
+        w1.net.places,
+        w1.net.transitions | {"g2"},
+        w1.net.arcs | {("c5", "g2"), ("g2", "end")},
+        {**w1.net.labels, "g2": "g"},
+    )
+    wf = WorkflowNet(net=net, source="start", sink="end")
+    with pytest.raises(ReplayError, match="ambiguous"):
+        replay(wf, ("a", "b", "d", "e", "h"))
+
+
+@pytest.fixture()
+def silent_cycle():
+    """A silent self-loop on p that the silent walk keeps firing: the hop
+    bound is what ends it."""
+    net = PetriNet(
+        ["pi", "p", "q", "po"],
+        ["ts", "tl", "tf", "ta"],
+        [
+            ("pi", "ts"),
+            ("ts", "p"),
+            ("p", "tl"),
+            ("tl", "p"),
+            ("p", "tf"),
+            ("tf", "q"),
+            ("q", "ta"),
+            ("ta", "po"),
+        ],
+        {"ts": None, "tl": None, "tf": "f", "ta": "a"},
+    )
+    return WorkflowNet(net=net, source="pi", sink="po")
+
+
+def test_silent_walk_fires_at_most_one_more_than_the_transitions(silent_cycle):
+    result = replay(silent_cycle, ("a",))
+    assert not result.ok and result.blocked_at == 0
+    # |T| + 1 = 5 firings, and fired lists only those that happened
+    assert result.fired == ("ts", "tl", "tl", "tl", "tl")
+    assert result.final_marking == {"p": 1}
+    assert replay(silent_cycle, ("f", "a")).fired == ("ts", "tf", "ta")
+
+
+def test_fitness_uses_the_same_hop_bound(silent_cycle):
+    log = EventLog(traces={("a",): 1, ("f", "a"): 1})
+    # <a>: ts and four tl, q inserted, ta, then five tl before the walk
+    # gives up: 12 produced, 12 consumed, 1 missing, 1 remaining on p.
+    # <f, a>: 4 produced and consumed. Together 1 - 1/16.
+    assert token_fitness(silent_cycle, log) == 0.9375
 
 
 def test_replay_fires_silents_implicitly():

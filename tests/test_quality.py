@@ -3,7 +3,7 @@ import pytest
 from regionminer.discovery import DiscoveryOptions, discover
 from regionminer.errors import ReplayError
 from regionminer.eventlog import EventLog
-from regionminer.petri import PetriNet, WorkflowNet
+from regionminer.petri import PetriNet, WorkflowNet, replay
 from regionminer.quality import (
     escaping_edges_precision,
     evaluate,
@@ -103,6 +103,14 @@ def test_evaluate_report(l1, l1_net):
     assert "precision=" in text
 
 
+# replayed and blocked instances, escaping and allowed mass
+_EVALUATE_COUNTS = {
+    "l1": (55, 0, 245, 817),
+    "l1_prime": (55, 1, 245, 822),
+    "l1_noisy": (39, 16, 206, 747),
+}
+
+
 @pytest.mark.parametrize("name", ["l1", "l1_prime", "l1_noisy"])
 def test_evaluate_matches_the_public_metrics(name, l1, l1_net, request):
     if name == "l1_noisy":
@@ -113,6 +121,11 @@ def test_evaluate_matches_the_public_metrics(name, l1, l1_net, request):
     # exact: evaluate derives both from the same integer totals
     assert report.fitness == token_fitness(l1_net, log)
     assert report.precision == escaping_edges_precision(l1_net, log)
+    keys = ("replayed_traces", "blocked_traces", "escaping_mass", "allowed_mass")
+    assert tuple(report.counts[key] for key in keys) == _EVALUATE_COUNTS[name]
+    assert report.counts["replayed_traces"] == sum(
+        mult for trace, mult in log.traces.items() if replay(l1_net, trace).ok
+    )
 
 
 def test_inject_noise_level_zero_is_identity(l1):
