@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
+from .dot import quote
 from .errors import GraphRepairError
 from .eventlog import EventLog, is_use_log
 
@@ -184,9 +185,9 @@ def causal_graph_dot(graph: CausalGraph) -> str:
     """Render the graph in DOT, arcs labelled with dependency scores."""
     lines = ["digraph causal {", "  rankdir=LR;"]
     for v in sorted(graph.vertices):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {quote(v)};")
     for a, b in sorted(graph.arcs):
         weight = graph.weights.get((a, b), 0.0)
-        lines.append(f'  "{a}" -> "{b}" [label="{weight:.3f}"];')
+        lines.append(f'  {quote(a)} -> {quote(b)} [label="{weight:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

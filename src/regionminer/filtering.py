@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from .dot import quote
 from .eventlog import PrefixClosure
 from .regions import (
     EncodingVector,
@@ -156,7 +157,7 @@ def seg_dot(
     lines = ["digraph seg {", "  rankdir=TB;"]
     for _, short, vertex in order:
         style = ' style=dashed' if not kept(vertex) else ""
-        lines.append(f'  {ids[vertex]} [label="{short}"{style}];')
+        lines.append(f"  {ids[vertex]} [label={quote(short)}{style}];")
     for _, _, vertex in order:
         for child, weight in sorted(
             graph.children.get(vertex, {}).items(),

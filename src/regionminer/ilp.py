@@ -7,10 +7,24 @@ equality rows, the minimum-arc row, binary bounds and variable fixings.
 The algorithm is branch-and-bound with bounding by the continuous
 relaxation. The relaxation is solved by a dense two-phase simplex using
 fraction-free integer pivoting, which is exact rational arithmetic with
-the denominators cleared, so no tolerance enters anywhere. Large
-constraint bodies are handled by row generation: the simplex runs on an
-active subset and violated rows are added until the relaxed optimum
-satisfies everything, at which point it is the optimum of the full body.
+the denominators cleared, so no tolerance enters anywhere.
+
+Row generation: a large constraint body (more than
+``_ROW_GENERATION_THRESHOLD`` rows) is solved on an active subset, the
+mandatory box and equality rows, and the most violated other rows, up to
+``_ROW_BATCH`` per round, are added until the relaxed optimum satisfies
+everything; it is then the optimum of the full body. All rounds share one
+simplex. The added rows are written into the optimal tableau, each with a
+fresh basic slack, which keeps every reduced cost non-negative, and a dual
+simplex restores a non-negative right-hand side: the leaving row has the
+most negative rhs (ties: lower basis index), the entering column is the
+non-artificial ``j`` with a negative entry in that row minimising
+``cost[j] / -T[row, j]`` (compared by cross-multiplying; ties: lower
+column index), and a row without such a column proves the body
+infeasible. Like the primal phases, the dual loop falls back to Bland's
+rule (leaving row: lowest basis index) after ``bland_after`` pivots and
+raises ``SolverError`` after ``_PIVOT_LIMIT``. Smaller bodies are solved
+in one LP.
 
 Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
 array, and each fraction-free pivot is the single array expression
@@ -21,7 +35,12 @@ entry is below 2**31 in magnitude; then every product stays below 2**62
 and every difference below 2**63, so nothing wraps. When the check fails
 the tableau becomes an ``object`` array of Python ints for the rest of
 that simplex and the same expression runs on it, so any input is solved
-exactly. The cost rows stay lists of Python ints, because the
+exactly. Rows added by row generation are built in ``int64`` only while
+``max(den, |T|)`` times a row's absolute coefficient sum stays below
+2**62, and otherwise turn the tableau into ``object`` the same way. The
+pending rows' slacks and the re-verification of an optimum are matrix
+products, in ``int64`` when a bound on every partial sum allows it and in
+Python ints otherwise. The cost rows stay lists of Python ints, because the
 lexicographic objective below scales them by 2**depth. The pivot rules
 (entering column, ratio test with its tie-break on the basis index,
 Bland's rule) see the same integers either way, so the pivot sequence
@@ -62,6 +81,8 @@ _ROW_BATCH = 24
 # Bound on every tableau entry before an int64 pivot: each product of two
 # entries then stays below 2**62 and each difference of two below 2**63.
 _INT64_SAFE = 1 << 31
+# pivots one simplex phase or one dual re-optimisation may take
+_PIVOT_LIMIT = 100000
 
 Rows = list[tuple[tuple[int, ...], int]]
 
@@ -265,7 +286,7 @@ class _Simplex:
                 raise SolverError("relaxation unbounded; box rows missing")
             self._pivot(row, entering)
             pivots += 1
-            if pivots > 100000:
+            if pivots > _PIVOT_LIMIT:
                 raise SolverError("simplex failed to terminate")
 
     def _drive_out_artificials(self, non_art: list[int]) -> None:
@@ -283,7 +304,7 @@ class _Simplex:
             self._pivot(i, col)
 
     def solve(self) -> tuple[str, list[Fraction]]:
-        non_art = [j for j in range(self.width - 1) if j not in self.art_cols]
+        non_art = self._non_artificial()
         if self.art_cols:
             self._run_phase(self.cost1, non_art)
             rhs = self.tableau[:, -1].tolist()
@@ -297,6 +318,84 @@ class _Simplex:
             self.cost_rows = [self.cost2]
             self._drive_out_artificials(non_art)
         self._run_phase(self.cost2, non_art)
+        return "optimal", self._values()
+
+    def add_rows(self, rows: Rows) -> None:
+        """Append rows ``coefs . v >= rhs`` to a solved tableau.
+
+        Each row gets a fresh slack column (inserted before the rhs column)
+        and is written in the current basis in fraction-free form,
+        ``den * line - sum_i line[basis_i] * T_i``, so its slack is basic
+        with coefficient ``den``. Reduced costs do not change: the new
+        slacks cost zero. Call ``reoptimise`` afterwards.
+        """
+        n, width, count = self.n, self.width, len(rows)
+        lines = []
+        for t, (coefs, rhs) in enumerate(rows):
+            line = [-c for c in coefs] + [0] * (width + count - n)
+            line[width - 1 + t] = 1
+            line[-1] = -rhs
+            lines.append(line)
+        tableau = np.insert(self.tableau, [width - 1] * count, 0, axis=1)
+        # only rows with a structural basic variable meet a nonzero line entry
+        structural = [
+            i for i, var in enumerate(self.basis) if var < n and i not in self.dropped
+        ]
+        largest = max(self.den, _magnitude(tableau))
+        spread = max(sum(map(abs, coefs)) + abs(rhs) + 1 for coefs, rhs in rows)
+        if tableau.dtype != object and largest * spread >= 1 << 62:
+            tableau = tableau.astype(object)
+        block = np.array(lines, dtype=tableau.dtype)
+        basic = block[:, [self.basis[i] for i in structural]]
+        block = self.den * block - basic @ tableau[structural]
+        self.tableau = np.vstack([tableau, block])
+        self.basis.extend(range(width - 1, width - 1 + count))
+        self.width += count
+        for cost in self.cost_rows:
+            cost[-1:-1] = [0] * count
+
+    def reoptimise(self) -> tuple[str, list[Fraction]]:
+        """Dual simplex after ``add_rows``: the reduced costs stay
+        non-negative while pivots restore a non-negative rhs."""
+        allowed = self._non_artificial()
+        cost = self.cost2
+        basis = self.basis
+        pivots = 0
+        bland_after = 200 + 40 * len(self.tableau)
+        while True:
+            rhs = self.tableau[:, -1].tolist()
+            row = None
+            for i, value in enumerate(rhs):
+                if value >= 0:
+                    continue
+                if row is None or (
+                    basis[i] < basis[row]
+                    if pivots > bland_after  # Bland's rule, as in _run_phase
+                    else value < rhs[row] or (value == rhs[row] and basis[i] < basis[row])
+                ):
+                    row = i
+            if row is None:
+                return "optimal", self._values()
+            line = self.tableau[row].tolist()
+            entering = None
+            for j in allowed:
+                coef = line[j]
+                # smallest cost[j] / -coef, compared by cross-multiplying
+                if coef < 0 and (
+                    entering is None or cost[j] * -line[entering] < cost[entering] * -coef
+                ):
+                    entering = j
+            if entering is None:
+                return "infeasible", []
+            self._pivot(row, entering)
+            pivots += 1
+            if pivots > _PIVOT_LIMIT:
+                raise SolverError("dual simplex failed to terminate")
+
+    def _non_artificial(self) -> list[int]:
+        return [j for j in range(self.width - 1) if j not in self.art_cols]
+
+    def _values(self) -> list[Fraction]:
         rhs = self.tableau[:, -1].tolist()
         values = [Fraction(0)] * self.n
         for i, var in enumerate(self.basis):
@@ -304,7 +403,7 @@ class _Simplex:
                 continue
             if var < self.n:
                 values[var] = Fraction(rhs[i], self.den)
-        return "optimal", values
+        return values
 
 
 @dataclass
@@ -315,9 +414,31 @@ class _Effort:
     pivots: int = 0
 
 
-def _solve_lp(
-    rows: Rows, costs: Sequence[int], effort: _Effort | None = None
-) -> tuple[str, list[Fraction]]:
+def _magnitude(array: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, exactly (0 if empty)."""
+    if not array.size:
+        return 0
+    return max(abs(int(array.max())), abs(int(array.min())))
+
+
+def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows as a coefficient matrix and an rhs vector, ``int64`` when
+    every entry fits and ``object`` otherwise, plus their largest
+    absolute entry."""
+    coefs = [c for c, _ in rows]
+    rhs = [r for _, r in rows]
+    try:
+        matrix = np.array(coefs, dtype=np.int64).reshape(len(rows), width)
+        vector = np.array(rhs, dtype=np.int64)
+    except OverflowError:
+        matrix = np.array(coefs, dtype=object).reshape(len(rows), width)
+        vector = np.array(rhs, dtype=object)
+    return matrix, vector, max(_magnitude(matrix), _magnitude(vector))
+
+
+def _simplex_for(rows: Rows, costs: Sequence[int]) -> _Simplex | None:
+    """A simplex over the rows with duplicates merged, or None when a row
+    without coefficients can never hold."""
     cleaned: dict[tuple[int, ...], int] = {}
     for coefs, rhs in rows:
         if any(coefs):
@@ -325,8 +446,16 @@ def _solve_lp(
             if prior is None or rhs > prior:
                 cleaned[coefs] = rhs
         elif rhs > 0:
-            return "infeasible", []
-    simplex = _Simplex(sorted(cleaned.items()), costs)
+            return None
+    return _Simplex(sorted(cleaned.items()), costs)
+
+
+def _solve_lp(
+    rows: Rows, costs: Sequence[int], effort: _Effort | None = None
+) -> tuple[str, list[Fraction]]:
+    simplex = _simplex_for(rows, costs)
+    if simplex is None:
+        return "infeasible", []
     result = simplex.solve()
     if effort is not None:
         effort.pivots += simplex.pivots
@@ -340,29 +469,41 @@ def _solve_lp_generated(
 
     Runs on an active subset and adds the most violated optional rows
     until the relaxed optimum satisfies every row; a subset optimum that
-    is feasible for the full set is optimal for the full set.
+    is feasible for the full set is optimal for the full set. One simplex
+    serves every round: the rows are added to its optimal tableau, which
+    the dual simplex re-optimises.
     """
     if len(mandatory) + len(optional) <= _ROW_GENERATION_THRESHOLD:
         return _solve_lp(mandatory + optional, costs, effort)
-    active = list(mandatory)
-    pending = list(optional)
-    while True:
-        status, point = _solve_lp(active, costs, effort)
-        if status != "optimal":
-            return status, point
+    simplex = _simplex_for(mandatory, costs)
+    if simplex is None:
+        return "infeasible", []
+    pending = list(dict.fromkeys(optional))
+    matrix, rhs, magnitude = _stack(pending, len(costs))
+    live = np.ones(len(pending), dtype=bool)
+    status, point = simplex.solve()
+    while status == "optimal":
         common = math.lcm(*(f.denominator for f in point)) if point else 1
         scaled = [int(f * common) for f in point]
-        violated = []
-        for coefs, rhs in pending:
-            slack = sum(c * s for c, s in zip(coefs, scaled) if c) - rhs * common
-            if slack < 0:
-                violated.append((slack, coefs, rhs))
+        # |slack| <= magnitude * (width + 1) * max(common, |scaled|)
+        scale = max([common] + [abs(s) for s in scaled])
+        if matrix.dtype != object and magnitude * (len(costs) + 1) * scale < 1 << 63:
+            slack = matrix @ np.array(scaled, dtype=np.int64) - rhs * common
+        else:
+            slack = matrix.astype(object) @ np.array(scaled, dtype=object) - (
+                rhs.astype(object) * common
+            )
+        violated = np.flatnonzero(live & (slack < 0)).tolist()
         if not violated:
-            return status, point
-        violated.sort(key=lambda item: (item[0], item[1]))
-        chosen = {(coefs, rhs) for _, coefs, rhs in violated[:_ROW_BATCH]}
-        active.extend(sorted(chosen))
-        pending = [row for row in pending if row not in chosen]
+            break
+        violated.sort(key=lambda i: (slack[i], pending[i][0]))
+        chosen = violated[:_ROW_BATCH]
+        live[chosen] = False
+        simplex.add_rows(sorted(pending[i] for i in chosen))
+        status, point = simplex.reoptimise()
+    if effort is not None:
+        effort.pivots += simplex.pivots
+    return status, point
 
 
 def _expand_equalities(inst: ILPInstance) -> Rows:
@@ -439,19 +580,24 @@ def solve(inst: ILPInstance) -> Solution:
     def combined_value(assignment: Sequence[int]) -> int:
         return sum(combined[i] * assignment[i] for i in free)
 
+    # every original row, not only the presolved equalities, stacked once;
+    # a binary assignment keeps each row value within n * magnitude
+    ineq_matrix, ineq_rhs, ineq_magnitude = _stack(inequalities, n)
+    eq_matrix, eq_rhs, eq_magnitude = _stack(equalities, n)
+    if max(ineq_magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
+        ineq_matrix, ineq_rhs, eq_matrix, eq_rhs = (
+            a.astype(object) for a in (ineq_matrix, ineq_rhs, eq_matrix, eq_rhs)
+        )
+
     def verify(assignment: Sequence[int]) -> bool:
-        # every original row, not only the presolved equalities
         if any(assignment[i] != v for i, v in base_fixed.items()):
             return False
         if any(v not in (0, 1) for v in assignment):
             return False
-        for coefs, rhs in inequalities:
-            if sum(c * v for c, v in zip(coefs, assignment) if c) < rhs:
-                return False
-        for coefs, rhs in equalities:
-            if sum(c * v for c, v in zip(coefs, assignment) if c) != rhs:
-                return False
-        return True
+        vector = np.array(assignment, dtype=ineq_matrix.dtype)
+        return bool((ineq_matrix @ vector >= ineq_rhs).all()) and bool(
+            (eq_matrix @ vector == eq_rhs).all()
+        )
 
     best_assignment: list[int] | None = None
     best_combined: int | None = None

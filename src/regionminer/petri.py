@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from xml.sax.saxutils import escape, quoteattr
 import xml.etree.ElementTree as ET
 
+from .dot import quote
 from .errors import ParseError, ReplayError
 from .eventlog import EventLog, Trace
 
@@ -427,20 +428,17 @@ def export_dot(wfnet: WorkflowNet) -> str:
     initial = wfnet.initial_marking()
     lines = ["digraph wfnet {", "  rankdir=LR;"]
     for place in sorted(net.places):
-        tokens = initial.get(place, 0)
-        label = "&bull;" * tokens
-        lines.append(
-            f"  {quoteattr(place)} [shape=circle, label=\"{label}\", xlabel={quoteattr(place)}];"
-        )
+        label = quote("&bull;" * initial.get(place, 0))
+        lines.append(f"  {quote(place)} [shape=circle, label={label}, xlabel={quote(place)}];")
     for transition in sorted(net.transitions):
         label = net.labels[transition]
         if label is None:
             lines.append(
-                f"  {quoteattr(transition)} [shape=box, label=\"\", style=filled, fillcolor=black];"
+                f'  {quote(transition)} [shape=box, label="", style=filled, fillcolor=black];'
             )
         else:
-            lines.append(f"  {quoteattr(transition)} [shape=box, label={quoteattr(label)}];")
+            lines.append(f"  {quote(transition)} [shape=box, label={quote(label)}];")
     for source, target in sorted(net.arcs):
-        lines.append(f"  {quoteattr(source)} -> {quoteattr(target)};")
+        lines.append(f"  {quote(source)} -> {quote(target)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

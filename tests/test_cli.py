@@ -137,6 +137,29 @@ def test_discover_rejects_a_name_pnml_cannot_carry(workspace, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, quoted",
+    [('a"b', r'"a\"b"'), ("<&>", '"<&>"'), ("a\\b", r'"a\\b"')],
+)
+def test_discover_dot_quotes_names_for_dot(workspace, name, quoted):
+    log = workspace / "q.log"
+    log.write_text(f"{name} c\n", encoding="utf-8")
+    out = {kind: workspace / f"{kind}.dot" for kind in ("net", "causal", "seg")}
+    args = ["discover", "--log", str(log), "--no-filter"]
+    args += ["--out-pnml", str(workspace / "q.pnml"), "--out-dot", str(out["net"])]
+    args += ["--emit-causal-dot", str(out["causal"]), "--emit-seg-dot", str(out["seg"])]
+    assert main(args) == 0
+    text = {kind: path.read_text(encoding="utf-8") for kind, path in out.items()}
+    node = '"t_' + quoted[1:]
+    assert f"  {node} [shape=box, label={quoted}];" in text["net"]
+    assert f" -> {node};" in text["net"]
+    assert f"  {quoted};" in text["causal"]
+    for rendering in text.values():
+        assert "'" not in rendering
+        for entity in ("&quot;", "&lt;", "&gt;", "&amp;", "&apos;"):
+            assert entity not in rendering
+
+
+@pytest.mark.parametrize(
     "body",
     [
         "<place/>",

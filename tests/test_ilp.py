@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regionminer import ilp
@@ -112,7 +112,7 @@ def test_solve_self_loop_forces_start_arc():
     assert result.assignment[cs.x_index(pc.start)] == 1
 
 
-def test_solve_infeasible_on_contradictory_row():
+def _contradicted_instance():
     _, cs = _tiny_use_instance()
     forcing = [0] * cs.n_vars
     forcing[cs.x_index("a")] = -1  # -x(a) >= 0 forces x(a) = 0
@@ -121,7 +121,11 @@ def test_solve_infeasible_on_contradictory_row():
         inequality_rows=cs.inequality_rows
         + (Row(vector=tuple(forcing), source=("a",), weight=1),),
     )
-    inst = ILPInstance(system=contradicted, fixings={cs.x_index("a"): 1})
+    return ILPInstance(system=contradicted, fixings={cs.x_index("a"): 1})
+
+
+def test_solve_infeasible_on_contradictory_row():
+    inst = _contradicted_instance()
     assert solve(inst).status == "infeasible"
     assert brute_force(inst).status == "infeasible"
 
@@ -400,3 +404,119 @@ def test_solution_counts_nodes_and_pivots(l1):
     oracle = brute_force(instantiate_causal_ilp(cs, "a", "b"))
     assert (oracle.nodes, oracle.pivots) == (0, 0)
     assert result == oracle  # the counters describe the search only
+
+
+def _warm_and_cold(inst):
+    """solve and lp_relax with every row generated one at a time, the
+    dual-simplex results seen, and lp_relax solved cold in one LP."""
+    outcomes = []
+    reoptimise = ilp._Simplex.reoptimise
+
+    def spy(self):
+        result = reoptimise(self)
+        outcomes.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "reoptimise", spy)
+        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
+        patch.setattr(ilp, "_ROW_BATCH", 1)
+        warm, warm_relaxed = solve(inst), lp_relax(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 10**9)
+        cold_relaxed = lp_relax(inst)
+    return warm, warm_relaxed, cold_relaxed, outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+@example(11, False)  # a branch-and-bound node turns infeasible after rows are added
+@example(11, True)
+def test_warm_started_rows_match_brute_force_and_cold_lps(seed, python_ints):
+    inst = random_instance(random.Random(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        if python_ints:
+            patch.setattr(ilp, "_INT64_SAFE", 0)  # every pivot on Python ints
+        warm, warm_relaxed, cold_relaxed, _ = _warm_and_cold(inst)
+    assert warm == brute_force(inst)
+    assert warm_relaxed.status == cold_relaxed.status
+    assert warm_relaxed.value == cold_relaxed.value
+
+
+def test_dual_simplex_reports_infeasible_nodes_and_lps():
+    # the example above does reach an infeasible dual re-optimisation
+    assert "infeasible" in _warm_and_cold(random_instance(random.Random(11)))[3]
+    # a row that loses every coefficient to the fixings and cannot hold
+    warm, warm_relaxed, cold_relaxed, outcomes = _warm_and_cold(_contradicted_instance())
+    assert warm_relaxed.status == cold_relaxed.status == "infeasible"
+    assert warm.status == "infeasible" and outcomes[-1] == "infeasible"
+
+
+def test_row_generated_node_builds_one_simplex(l1):
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    inst = instantiate_causal_ilp(cs, "a", "b")
+    built = []
+    added = []
+    init, add_rows = ilp._Simplex.__init__, ilp._Simplex.add_rows
+
+    def counting_init(self, rows, costs):
+        built.append(len(rows))
+        init(self, rows, costs)
+
+    def counting_add_rows(self, rows):
+        added.append(len(rows))
+        add_rows(self, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "__init__", counting_init)
+        patch.setattr(ilp._Simplex, "add_rows", counting_add_rows)
+        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
+        patch.setattr(ilp, "_ROW_BATCH", 1)
+        relaxed = lp_relax(inst)
+    assert relaxed.status == "optimal"
+    assert len(built) == 1
+    assert len(added) > 1 and set(added) == {1}
+
+
+def test_dual_simplex_that_cannot_finish_names_the_pair(l1):
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    add_rows = ilp._Simplex.add_rows
+
+    def stalling_add_rows(self, rows):
+        add_rows(self, rows)
+        self._pivot = lambda row, col: None  # the dual loop never progresses
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "add_rows", stalling_add_rows)
+        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
+        patch.setattr(ilp, "_PIVOT_LIMIT", 50)
+        with pytest.raises(SolverError, match=r"^pair \(a, b\): dual simplex"):
+            solve(instantiate_causal_ilp(cs, "a", "b"))
+
+
+@pytest.mark.parametrize("big", [2**33, 2**61, 2**70])
+def test_rows_with_huge_coefficients_warm_start_exactly(big):
+    box = [((-1, 0), -1), ((0, -1), -1)]
+    optional = [((big, 1), big // 2), ((1, big + 1), big // 3), ((-big, big), -big)]
+    costs = [3, 5]
+    dtypes = []
+    reoptimise = ilp._Simplex.reoptimise
+
+    def spy(self):
+        dtypes.append(self.tableau.dtype)
+        return reoptimise(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "reoptimise", spy)
+        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
+        patch.setattr(ilp, "_ROW_BATCH", 1)
+        status, point = ilp._solve_lp_generated(box, optional, costs)
+    cold_status, cold_point = _solve_lp(box + optional, costs)
+    assert status == cold_status == "optimal"
+    assert dtypes and (big < 2**61 or dtypes[-1] == np.dtype(object))
+    value = sum(c * p for c, p in zip(costs, point))
+    assert value == sum(c * p for c, p in zip(costs, cold_point))
+    for coefs, rhs in box + optional:
+        assert sum(c * p for c, p in zip(coefs, point)) >= rhs
