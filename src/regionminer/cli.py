@@ -154,15 +154,20 @@ def _cmd_sweep(args) -> int:
     log = _read_log(args.log, xes=False)
     alphas = [token.strip() for token in args.alphas.split(",") if token.strip()]
     levels = [token.strip() for token in args.noise_levels.split(",") if token.strip()]
+    # build every option and noisy log before the header, so a bad value
+    # is reported on its own and nothing reaches stdout
+    threshold = args.dependency_threshold
+    grid = [
+        (token, DiscoveryOptions(alpha=float(token), dependency_threshold=threshold))
+        for token in alphas
+    ]
+    noisy_logs = []
+    for token in levels:
+        level = float(token)
+        noisy_logs.append((token, inject_noise(log, level, args.seed) if level else log))
     print("noise,alpha,fitness,precision,wall_ms")
-    for level_token in levels:
-        level = float(level_token)
-        noisy = inject_noise(log, level, args.seed) if level > 0 else log
-        for alpha_token in alphas:
-            alpha = float(alpha_token)
-            options = DiscoveryOptions(
-                alpha=alpha, dependency_threshold=args.dependency_threshold
-            )
+    for level_token, noisy in noisy_logs:
+        for alpha_token, options in grid:
             started = time.perf_counter()
             net = run_discovery(noisy, options).net
             wall_ms = int((time.perf_counter() - started) * 1000)

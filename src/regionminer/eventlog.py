@@ -244,22 +244,13 @@ class PrefixClosure:
         return self.entries.get((), 0)
 
     def full_traces(self) -> dict[Trace, int]:
-        """The original bag this closure was built from (log multiplicities)."""
-        out: dict[Trace, int] = {}
+        """The original bag this closure was built from (log multiplicities):
+        each prefix's frequency minus those of its one-step extensions."""
+        own = dict(self.entries)
         for trace, freq in self.entries.items():
-            extensions = sum(
-                self.entries[other]
-                for other in self._children(trace)
-            )
-            own = freq - extensions
-            if own > 0:
-                out[trace] = own
-        return out
-
-    def _children(self, trace: Trace) -> list[Trace]:
-        return [
-            trace + (a,) for a in self.alphabet if trace + (a,) in self.entries
-        ]
+            if trace:
+                own[trace[:-1]] -= freq
+        return {trace: count for trace, count in own.items() if count > 0}
 
 
 def prefix_closure(

@@ -5,26 +5,43 @@ Solves: minimise an integer objective over the binary variables
 equality rows, the minimum-arc row, binary bounds and variable fixings.
 
 The algorithm is branch-and-bound with bounding by the continuous
-relaxation. The relaxation is solved by a dense two-phase simplex using
-fraction-free integer pivoting, which is exact rational arithmetic with
-the denominators cleared, so no tolerance enters anywhere.
+relaxation. Every relaxation is solved by one dense simplex over all
+variables using fraction-free integer pivoting, which is exact rational
+arithmetic with the denominators cleared, so no tolerance enters anywhere.
 
-Row generation: a large constraint body (more than
-``_ROW_GENERATION_THRESHOLD`` rows) is solved on an active subset, the
-mandatory box and equality rows, and the most violated other rows, up to
-``_ROW_BATCH`` per round, are added until the relaxed optimum satisfies
-everything; it is then the optimum of the full body. All rounds share one
-simplex. The added rows are written into the optimal tableau, each with a
-fresh basic slack, which keeps every reduced cost non-negative, and a dual
-simplex restores a non-negative right-hand side: the leaving row has the
-most negative rhs (ties: lower basis index), the entering column is the
-non-artificial ``j`` with a negative entry in that row minimising
+One tableau, rows added to it: a simplex starts from rows that hold at
+the origin, so their slacks form a feasible basis and no phase 1 or
+artificial column is needed. Those start rows are the box rows
+``v_i <= 1``, the presolved equality pairs (below) and ``v_i <= 0`` for
+each variable fixed to zero. A primal simplex runs from that slack basis;
+on discovery instances it takes no pivot, because every objective
+coefficient is positive. Every other row is written into the optimal
+tableau by ``_Simplex.add_rows``, each with a fresh basic slack, which
+keeps every reduced cost non-negative, and a dual simplex
+(``_Simplex.reoptimise``) restores a non-negative right-hand side: the
+leaving row has the most negative rhs (ties: lower basis index), the
+entering column is the ``j`` with a negative entry in that row minimising
 ``cost[j] / -T[row, j]`` (compared by cross-multiplying; ties: lower
-column index), and a row without such a column proves the body
-infeasible. Like the primal phases, the dual loop falls back to Bland's
-rule (leaving row: lowest basis index) after ``bland_after`` pivots and
-raises ``SolverError`` after ``_PIVOT_LIMIT``. Smaller bodies are solved
-in one LP.
+column index), and a row without such a column proves the relaxation
+infeasible. Rows enter this way in two cases:
+
+- row generation: the minimum-arc row, the rows fixing variables to one
+  and the body's inequality rows wait in a pending set; after each
+  optimum the most violated of them, up to ``_ROW_BATCH`` per round, are
+  added, until the optimum satisfies every row and so is the optimum of
+  the full body (at the origin only the fixings and the minimum-arc row
+  are violated, so they join in the first round);
+- branching: a branch-and-bound child copies its parent's optimal
+  tableau and pending-row mask and adds one bound row, ``v_j <= 0`` or
+  ``v_j >= 1``, so one simplex is built per call and every other node is
+  a warm start.
+
+Fixings and bounds are rows and are never substituted, so every node
+keeps all variables and the same cost vector. The primal loop enters the
+column with the most negative reduced cost (ties: lower column index)
+and its ratio test breaks ties on the lower basis index. Both loops fall
+back to Bland's rule after ``bland_after`` pivots and raise
+``SolverError`` after ``_PIVOT_LIMIT`` pivots.
 
 Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
 array, and each fraction-free pivot is the single array expression
@@ -34,37 +51,41 @@ the floor division is exact. Before each pivot a guard checks that every
 entry is below 2**31 in magnitude; then every product stays below 2**62
 and every difference below 2**63, so nothing wraps. When the check fails
 the tableau becomes an ``object`` array of Python ints for the rest of
-that simplex and the same expression runs on it, so any input is solved
-exactly. Rows added by row generation are built in ``int64`` only while
-``max(den, |T|)`` times a row's absolute coefficient sum stays below
-2**62, and otherwise turn the tableau into ``object`` the same way. The
-pending rows' slacks and the re-verification of an optimum are matrix
-products, in ``int64`` when a bound on every partial sum allows it and in
-Python ints otherwise. The cost rows stay lists of Python ints, because the
-lexicographic objective below scales them by 2**depth. The pivot rules
-(entering column, ratio test with its tie-break on the basis index,
-Bland's rule) see the same integers either way, so the pivot sequence
-does not depend on the representation.
+that simplex and its copies, and the same expression runs on it, so any
+input is solved exactly. A start row that does not fit ``int64`` builds
+the tableau as ``object`` from the beginning. Added rows are built in
+``int64`` only while ``max(den, |T|)`` times a row's absolute
+coefficient sum stays below 2**62, and otherwise turn the tableau into
+``object`` the same way. The pending rows' slacks and the re-verification
+of an optimum are matrix products, in ``int64`` when a bound on every
+partial sum allows it and in Python ints otherwise. The cost row stays a
+list of Python ints, because the lexicographic objective below scales it
+by 2**n. The pivot rules see the same integers either way, so the pivot
+sequence does not depend on the representation.
 
 Presolve: the trace-emptiness equalities all read
 ``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
 a log can contribute hundreds of them. Before an equality becomes the
-two mandatory ``>=`` rows every relaxation carries, the rows are reduced
-to their first linearly independent subset
+two ``>=`` start rows every relaxation carries, the rows are reduced to
+their first linearly independent subset
 (``ConstraintSystem.independent_equality_rows``, found by exact integer
-elimination and cached on the system, so all pairs and nodes share one
+elimination and cached on the system, so all pairs share one
 computation). The subset keeps the original integer rows and spans the
 same affine set, so every relaxation has exactly the same feasible
 region. Re-verification of an optimum still checks every original row.
 
 Determinism: among equal-objective optima the solver returns the
-lexicographically smallest assignment in (m, x, y) order. The objective
-is minimised in a lexicographic product with the assignment itself, which
-makes the optimum unique, so results cannot depend on exploration order.
+lexicographically smallest assignment in (m, x, y) order. Over n
+variables, ``solve`` minimises ``objective[i] * 2**n + 2**(n-1-i)`` per
+variable: a lexicographic product of the objective with the assignment
+itself, which makes the optimum unique, so results cannot depend on
+exploration order. Fixed variables add only a constant, so the one cost
+vector serves every node.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -76,12 +97,11 @@ import numpy as np
 from .errors import SolverError
 from .regions import ILPInstance
 
-_ROW_GENERATION_THRESHOLD = 48
 _ROW_BATCH = 24
 # Bound on every tableau entry before an int64 pivot: each product of two
 # entries then stays below 2**62 and each difference of two below 2**63.
 _INT64_SAFE = 1 << 31
-# pivots one simplex phase or one dual re-optimisation may take
+# pivots one primal simplex or one dual re-optimisation may take
 _PIVOT_LIMIT = 100000
 
 Rows = list[tuple[tuple[int, ...], int]]
@@ -147,71 +167,46 @@ def _names_pair(func):
     return wrapper
 
 
-def _substitute(rows: Rows, free: Sequence[int], assigned: dict[int, int]) -> Rows:
-    out: Rows = []
-    for coefs, rhs in rows:
-        shifted = rhs - sum(coefs[i] * v for i, v in assigned.items() if coefs[i])
-        out.append((tuple(coefs[i] for i in free), shifted))
-    return out
-
-
 class _Simplex:
-    """Two-phase dense simplex over the rationals, fraction-free.
+    """Dense simplex over the rationals, fraction-free, always optimal.
 
     Constraints are ``coefs . v >= rhs`` with v >= 0. The tableau holds
-    integers with one shared positive denominator (the previous pivot).
-    Pivots chosen by the ratio test are positive; the only negative pivots
-    occur when driving a degenerate artificial out of the basis, and the
-    tableau is renormalised afterwards so the denominator stays positive.
-
-    The constraint rows form one array (see the module docstring); a
-    dropped row is zeroed, so later pivots leave it zero.
+    integers with one shared positive denominator (the previous pivot);
+    a negative pivot (dual simplex) is followed by a global sign flip, so
+    the denominator stays positive. Construction takes start rows, which
+    must hold at the origin, and runs the primal simplex from their slack
+    basis; ``add_rows`` and ``reoptimise`` then bring in every other row
+    (see the module docstring).
     """
 
     def __init__(self, rows: Rows, costs: Sequence[int]):
-        self.n = len(costs)
+        if any(rhs > 0 for _, rhs in rows):
+            raise SolverError("a start row does not hold at the origin")
+        n, m = len(costs), len(rows)
+        self.n = n
         self.den = 1
         self.pivots = 0
-        self.basis: list[int] = []
-        self.dropped: set[int] = set()
-        n = self.n
-        m = len(rows)
-        art_rows = [i for i, (_, rhs) in enumerate(rows) if rhs > 0]
-        art_index = {row: k for k, row in enumerate(art_rows)}
-        self.width = n + m + len(art_rows) + 1
-        self.art_cols = frozenset(n + m + k for k in range(len(art_rows)))
-        lines: list[list[int]] = []
-        for i, (coefs, rhs) in enumerate(rows):
-            line = [0] * self.width
-            if rhs > 0:
-                line[: n] = list(coefs)
-                line[n + i] = -1
-                line[n + m + art_index[i]] = 1
-                line[-1] = rhs
-                self.basis.append(n + m + art_index[i])
-            else:
-                line[: n] = [-c for c in coefs]
-                line[n + i] = 1
-                line[-1] = -rhs
-                self.basis.append(n + i)
-            lines.append(line)
-        try:
-            self.tableau = np.array(lines, dtype=np.int64).reshape(m, self.width)
-        except OverflowError:
-            self.tableau = np.array(lines, dtype=object).reshape(m, self.width)
-        # phase 2 reduced costs (initial basics all cost zero)
-        self.cost2 = list(costs) + [0] * (self.width - n)
-        # phase 1 reduced costs: unit cost on artificials, basics eliminated
-        cost1 = [0] * self.width
-        for col in self.art_cols:
-            cost1[col] = 1
-        for i in art_rows:
-            row = lines[i]
-            for j in range(self.width):
-                cost1[j] -= row[j]
-        self.cost1 = cost1
-        # the rows each pivot updates; phase 1 costs only while they are read
-        self.cost_rows = [cost1, self.cost2] if art_rows else [self.cost2]
+        self.width = n + m + 1
+        # row i reads slack_i - coefs . v = -rhs, with slack_i basic
+        negated = [(tuple(-c for c in coefs), -r) for coefs, r in rows]
+        matrix, rhs, _ = _stack(negated, n)
+        self.tableau = np.zeros((m, self.width), dtype=matrix.dtype)
+        self.tableau[:, :n] = matrix
+        self.tableau[np.arange(m), n + np.arange(m)] = 1
+        self.tableau[:, -1] = rhs
+        self.basis = list(range(n, n + m))
+        # reduced cost of each column (the initial basics all cost zero)
+        self.cost = list(costs) + [0] * m
+        self._primal()
+
+    def copy(self) -> "_Simplex":
+        """An independent copy of the tableau with its pivot count at 0."""
+        twin = copy.copy(self)
+        twin.tableau = self.tableau.copy()
+        twin.basis = list(self.basis)
+        twin.cost = list(self.cost)
+        twin.pivots = 0
+        return twin
 
     def _pivot(self, row: int, col: int) -> None:
         tableau = self.tableau
@@ -226,15 +221,14 @@ class _Simplex:
         updated //= den
         updated[row] = pivot_row
         self.tableau = updated
-        pivot_values = pivot_row.tolist()
-        for cost in self.cost_rows:
-            factor = cost[col]
-            if factor:
-                cost[:] = [
-                    (piv * a - factor * b) // den for a, b in zip(cost, pivot_values)
-                ]
-            elif piv != den:
-                cost[:] = [(piv * a) // den for a in cost]
+        factor = self.cost[col]
+        if factor:
+            self.cost = [
+                (piv * a - factor * b) // den
+                for a, b in zip(self.cost, pivot_row.tolist())
+            ]
+        elif piv != den:
+            self.cost = [(piv * a) // den for a in self.cost]
         self.den = piv
         self.basis[row] = col
         self.pivots += 1
@@ -242,15 +236,14 @@ class _Simplex:
             # global sign flip keeps the shared denominator positive
             self.den = -self.den
             np.negative(self.tableau, out=self.tableau)
-            for cost in self.cost_rows:
-                cost[:] = [-a for a in cost]
+            self.cost = [-a for a in self.cost]
 
     def _ratio_row(self, col: int) -> int | None:
         best: int | None = None
         best_rhs = best_coef = 0
         rhs_column = self.tableau[:, -1].tolist()
         for i, coef in enumerate(self.tableau[:, col].tolist()):
-            if i in self.dropped or coef <= 0:
+            if coef <= 0:
                 continue
             rhs = rhs_column[i]
             if best is None:
@@ -262,25 +255,19 @@ class _Simplex:
                 best, best_rhs, best_coef = i, rhs, coef
         return best
 
-    def _run_phase(self, cost: list[int], allowed: list[int]) -> None:
+    def _primal(self) -> None:
+        """Primal simplex: pivots until no reduced cost is negative."""
         pivots = 0
         bland_after = 200 + 40 * len(self.tableau)
         while True:
-            entering = None
-            if pivots <= bland_after:
-                best_val = 0
-                for j in allowed:
-                    val = cost[j]
-                    if val < best_val:
-                        best_val = val
-                        entering = j
-            else:  # Bland's rule, guarantees termination under degeneracy
-                for j in allowed:
-                    if cost[j] < 0:
-                        entering = j
-                        break
-            if entering is None:
+            cost = self.cost
+            negative = [j for j in range(self.width - 1) if cost[j] < 0]
+            if not negative:
                 return
+            if pivots <= bland_after:
+                entering = min(negative, key=cost.__getitem__)
+            else:  # Bland's rule, guarantees termination under degeneracy
+                entering = negative[0]
             row = self._ratio_row(entering)
             if row is None:
                 raise SolverError("relaxation unbounded; box rows missing")
@@ -289,39 +276,8 @@ class _Simplex:
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("simplex failed to terminate")
 
-    def _drive_out_artificials(self, non_art: list[int]) -> None:
-        for i in range(len(self.tableau)):
-            if i in self.dropped or self.basis[i] not in self.art_cols:
-                continue
-            row = self.tableau[i].tolist()
-            col = next((j for j in non_art if row[j] > 0), None)
-            if col is None:
-                col = next((j for j in non_art if row[j] != 0), None)
-            if col is None:
-                self.dropped.add(i)  # 0 = 0 after substitution, redundant
-                self.tableau[i] = 0
-                continue
-            self._pivot(i, col)
-
-    def solve(self) -> tuple[str, list[Fraction]]:
-        non_art = self._non_artificial()
-        if self.art_cols:
-            self._run_phase(self.cost1, non_art)
-            rhs = self.tableau[:, -1].tolist()
-            infeasibility = sum(
-                rhs[i]
-                for i, var in enumerate(self.basis)
-                if i not in self.dropped and var in self.art_cols
-            )
-            if infeasibility > 0:
-                return "infeasible", []
-            self.cost_rows = [self.cost2]
-            self._drive_out_artificials(non_art)
-        self._run_phase(self.cost2, non_art)
-        return "optimal", self._values()
-
     def add_rows(self, rows: Rows) -> None:
-        """Append rows ``coefs . v >= rhs`` to a solved tableau.
+        """Append rows ``coefs . v >= rhs`` to the optimal tableau.
 
         Each row gets a fresh slack column (inserted before the rhs column)
         and is written in the current basis in fraction-free form,
@@ -338,9 +294,7 @@ class _Simplex:
             lines.append(line)
         tableau = np.insert(self.tableau, [width - 1] * count, 0, axis=1)
         # only rows with a structural basic variable meet a nonzero line entry
-        structural = [
-            i for i, var in enumerate(self.basis) if var < n and i not in self.dropped
-        ]
+        structural = [i for i, var in enumerate(self.basis) if var < n]
         largest = max(self.den, _magnitude(tableau))
         spread = max(sum(map(abs, coefs)) + abs(rhs) + 1 for coefs, rhs in rows)
         if tableau.dtype != object and largest * spread >= 1 << 62:
@@ -351,14 +305,11 @@ class _Simplex:
         self.tableau = np.vstack([tableau, block])
         self.basis.extend(range(width - 1, width - 1 + count))
         self.width += count
-        for cost in self.cost_rows:
-            cost[-1:-1] = [0] * count
+        self.cost += [0] * count
 
     def reoptimise(self) -> tuple[str, list[Fraction]]:
         """Dual simplex after ``add_rows``: the reduced costs stay
         non-negative while pivots restore a non-negative rhs."""
-        allowed = self._non_artificial()
-        cost = self.cost2
         basis = self.basis
         pivots = 0
         bland_after = 200 + 40 * len(self.tableau)
@@ -370,15 +321,16 @@ class _Simplex:
                     continue
                 if row is None or (
                     basis[i] < basis[row]
-                    if pivots > bland_after  # Bland's rule, as in _run_phase
+                    if pivots > bland_after  # Bland's rule, as in _primal
                     else value < rhs[row] or (value == rhs[row] and basis[i] < basis[row])
                 ):
                     row = i
             if row is None:
                 return "optimal", self._values()
             line = self.tableau[row].tolist()
+            cost = self.cost
             entering = None
-            for j in allowed:
+            for j in range(self.width - 1):
                 coef = line[j]
                 # smallest cost[j] / -coef, compared by cross-multiplying
                 if coef < 0 and (
@@ -392,26 +344,13 @@ class _Simplex:
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("dual simplex failed to terminate")
 
-    def _non_artificial(self) -> list[int]:
-        return [j for j in range(self.width - 1) if j not in self.art_cols]
-
     def _values(self) -> list[Fraction]:
         rhs = self.tableau[:, -1].tolist()
         values = [Fraction(0)] * self.n
         for i, var in enumerate(self.basis):
-            if i in self.dropped:
-                continue
             if var < self.n:
                 values[var] = Fraction(rhs[i], self.den)
         return values
-
-
-@dataclass
-class _Effort:
-    """Work counters of one solve call."""
-
-    nodes: int = 0
-    pivots: int = 0
 
 
 def _magnitude(array: np.ndarray) -> int:
@@ -436,118 +375,101 @@ def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
     return matrix, vector, max(_magnitude(matrix), _magnitude(vector))
 
 
-def _simplex_for(rows: Rows, costs: Sequence[int]) -> _Simplex | None:
-    """A simplex over the rows with duplicates merged, or None when a row
-    without coefficients can never hold."""
-    cleaned: dict[tuple[int, ...], int] = {}
-    for coefs, rhs in rows:
-        if any(coefs):
-            prior = cleaned.get(coefs)
-            if prior is None or rhs > prior:
-                cleaned[coefs] = rhs
-        elif rhs > 0:
-            return None
-    return _Simplex(sorted(cleaned.items()), costs)
+class _Pending:
+    """Rows that enter a relaxation by row generation, deduplicated and
+    stacked once and shared by every node of one call; each node keeps a
+    mask of the rows it has not added yet."""
+
+    def __init__(self, rows: Rows, width: int):
+        self.rows = list(dict.fromkeys(rows))
+        self.matrix, self.rhs, self.magnitude = _stack(self.rows, width)
+
+    def mask(self) -> np.ndarray:
+        """A mask with every row still pending."""
+        return np.ones(len(self.rows), dtype=bool)
+
+    def optimum(
+        self, simplex: _Simplex, live: np.ndarray
+    ) -> tuple[str, list[Fraction]]:
+        """Re-optimise ``simplex``, then add the most violated rows of
+        ``live`` (clearing them there) and re-optimise again until the
+        optimum satisfies every row; an optimum over a subset of the rows
+        that is feasible for all of them is optimal for all of them."""
+        status, point = simplex.reoptimise()
+        while status == "optimal":
+            common = math.lcm(*(f.denominator for f in point)) if point else 1
+            scaled = [int(f * common) for f in point]
+            # |slack| <= magnitude * (width + 1) * max(common, |scaled|)
+            scale = max([common] + [abs(s) for s in scaled])
+            if (
+                self.matrix.dtype != object
+                and self.magnitude * (len(point) + 1) * scale < 1 << 63
+            ):
+                vector = np.array(scaled, dtype=np.int64)
+                slack = self.matrix @ vector - self.rhs * common
+            else:
+                slack = self.matrix.astype(object) @ np.array(scaled, dtype=object) - (
+                    self.rhs.astype(object) * common
+                )
+            violated = np.flatnonzero(live & (slack < 0)).tolist()
+            if not violated:
+                break
+            violated.sort(key=lambda i: (slack[i], self.rows[i][0]))
+            chosen = violated[:_ROW_BATCH]
+            live[chosen] = False
+            simplex.add_rows(sorted(self.rows[i] for i in chosen))
+            status, point = simplex.reoptimise()
+        return status, point
+
+
+def _unit(index: int, count: int, sign: int) -> tuple[int, ...]:
+    return tuple(sign if k == index else 0 for k in range(count))
+
+
+def _bound_row(index: int, value: int, count: int) -> tuple[tuple[int, ...], int]:
+    """``v_index <= 0`` (value 0) or ``v_index >= 1`` (value 1) as a row."""
+    return (_unit(index, count, 1), 1) if value else (_unit(index, count, -1), 0)
+
+
+def _lp_rows(inst: ILPInstance, inequalities: Rows) -> tuple[Rows, Rows]:
+    """The start rows of every relaxation of the instance (box rows,
+    presolved equality pairs, zero fixings; all hold at the origin) and
+    the rows that enter by row generation (the inequalities, the fixings
+    to one)."""
+    n = inst.system.n_vars
+    start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
+    for row in inst.system.independent_equality_rows:
+        start.append((row.vector, 0))
+        start.append((tuple(-c for c in row.vector), 0))
+    fixings = sorted(inst.fixings.items())
+    start += [_bound_row(i, 0, n) for i, v in fixings if v == 0]
+    return start, inequalities + [_bound_row(i, 1, n) for i, v in fixings if v == 1]
 
 
 def _solve_lp(
-    rows: Rows, costs: Sequence[int], effort: _Effort | None = None
+    start: Rows, rows: Rows, costs: Sequence[int]
 ) -> tuple[str, list[Fraction]]:
-    simplex = _simplex_for(rows, costs)
-    if simplex is None:
-        return "infeasible", []
-    result = simplex.solve()
-    if effort is not None:
-        effort.pivots += simplex.pivots
-    return result
-
-
-def _solve_lp_generated(
-    mandatory: Rows, optional: Rows, costs: Sequence[int], effort: _Effort | None = None
-) -> tuple[str, list[Fraction]]:
-    """Exact LP optimum over mandatory + optional rows.
-
-    Runs on an active subset and adds the most violated optional rows
-    until the relaxed optimum satisfies every row; a subset optimum that
-    is feasible for the full set is optimal for the full set. One simplex
-    serves every round: the rows are added to its optimal tableau, which
-    the dual simplex re-optimises.
-    """
-    if len(mandatory) + len(optional) <= _ROW_GENERATION_THRESHOLD:
-        return _solve_lp(mandatory + optional, costs, effort)
-    simplex = _simplex_for(mandatory, costs)
-    if simplex is None:
-        return "infeasible", []
-    pending = list(dict.fromkeys(optional))
-    matrix, rhs, magnitude = _stack(pending, len(costs))
-    live = np.ones(len(pending), dtype=bool)
-    status, point = simplex.solve()
-    while status == "optimal":
-        common = math.lcm(*(f.denominator for f in point)) if point else 1
-        scaled = [int(f * common) for f in point]
-        # |slack| <= magnitude * (width + 1) * max(common, |scaled|)
-        scale = max([common] + [abs(s) for s in scaled])
-        if matrix.dtype != object and magnitude * (len(costs) + 1) * scale < 1 << 63:
-            slack = matrix @ np.array(scaled, dtype=np.int64) - rhs * common
-        else:
-            slack = matrix.astype(object) @ np.array(scaled, dtype=object) - (
-                rhs.astype(object) * common
-            )
-        violated = np.flatnonzero(live & (slack < 0)).tolist()
-        if not violated:
-            break
-        violated.sort(key=lambda i: (slack[i], pending[i][0]))
-        chosen = violated[:_ROW_BATCH]
-        live[chosen] = False
-        simplex.add_rows(sorted(pending[i] for i in chosen))
-        status, point = simplex.reoptimise()
-    if effort is not None:
-        effort.pivots += simplex.pivots
-    return status, point
-
-
-def _expand_equalities(inst: ILPInstance) -> Rows:
-    """The presolved equality rows, each as two mandatory >= rows."""
-    out: Rows = []
-    for row in inst.system.independent_equality_rows:
-        out.append((row.vector, 0))
-        out.append((tuple(-c for c in row.vector), 0))
-    return out
-
-
-def _box_rows(count: int) -> Rows:
-    return [
-        (tuple(-1 if k == j else 0 for k in range(count)), -1) for j in range(count)
-    ]
+    """Exact minimum of ``costs . v`` over ``start + rows``, v >= 0: one
+    simplex on the start rows, which must hold at the origin, and the
+    other rows by row generation."""
+    pending = _Pending(rows, len(costs))
+    return pending.optimum(_Simplex(start, costs), pending.mask())
 
 
 @_names_pair
 def lp_relax(inst: ILPInstance) -> LPRelaxation:
-    """Continuous relaxation: variables in [0, 1], fixings substituted.
+    """Continuous relaxation: variables in [0, 1], fixings as rows.
 
     The value is an exact rational lower bound on the binary optimum; it
     cannot be unbounded because every variable is boxed.
     """
     inequalities, _ = _instance_rows(inst)
-    n = inst.system.n_vars
-    fixed = dict(inst.fixings)
-    free = [i for i in range(n) if i not in fixed]
-    mandatory = _box_rows(len(free)) + _substitute(
-        _expand_equalities(inst), free, fixed
-    )
-    optional = _substitute(inequalities, free, fixed)
-    costs = [inst.system.objective[i] for i in free]
-    status, point = _solve_lp_generated(mandatory, optional, costs)
+    costs = inst.system.objective
+    status, point = _solve_lp(*_lp_rows(inst, inequalities), costs)
     if status != "optimal":
         return LPRelaxation(status="infeasible", value=None, point=None)
-    constant = sum(inst.system.objective[i] * v for i, v in fixed.items())
-    value = constant + sum(c * p for c, p in zip(costs, point))
-    full = [Fraction(0)] * n
-    for i, v in fixed.items():
-        full[i] = Fraction(v)
-    for j, i in enumerate(free):
-        full[i] = point[j]
-    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(full))
+    value = sum(c * p for c, p in zip(costs, point))
+    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
 
 
 def _objective_of(inst: ILPInstance, assignment: Sequence[int]) -> int:
@@ -559,26 +481,20 @@ def solve(inst: ILPInstance) -> Solution:
     """Globally optimal binary assignment, or infeasible.
 
     Branch-and-bound, depth-first on the most fractional relaxation
-    variable, children explored zero-branch first; every returned
-    assignment is re-verified by integer row evaluation.
+    variable, children explored zero-branch first, each warm-started from
+    its parent's tableau; every returned assignment is re-verified by
+    integer row evaluation.
     """
     cs = inst.system
     n = cs.n_vars
     inequalities, equalities = _instance_rows(inst)
-    eq_pairs = _expand_equalities(inst)
-    base_fixed = dict(inst.fixings)
-    free = [i for i in range(n) if i not in base_fixed]
-    depth = len(free)
+    fixed = dict(inst.fixings)
 
     # lexicographic product objective; see module docstring
-    shift = 1 << depth
-    combined = {
-        i: cs.objective[i] * shift + (1 << (depth - 1 - j))
-        for j, i in enumerate(free)
-    }
+    costs = [c * (1 << n) + (1 << (n - 1 - i)) for i, c in enumerate(cs.objective)]
 
     def combined_value(assignment: Sequence[int]) -> int:
-        return sum(combined[i] * assignment[i] for i in free)
+        return sum(c * v for c, v in zip(costs, assignment))
 
     # every original row, not only the presolved equalities, stacked once;
     # a binary assignment keeps each row value within n * magnitude
@@ -590,7 +506,7 @@ def solve(inst: ILPInstance) -> Solution:
         )
 
     def verify(assignment: Sequence[int]) -> bool:
-        if any(assignment[i] != v for i, v in base_fixed.items()):
+        if any(assignment[i] != v for i, v in fixed.items()):
             return False
         if any(v not in (0, 1) for v in assignment):
             return False
@@ -608,61 +524,46 @@ def solve(inst: ILPInstance) -> Solution:
                 best_combined = value
                 best_assignment = list(seed)
 
-    effort = _Effort()
-    stack: list[dict[int, int]] = [{}]
+    start, rows = _lp_rows(inst, inequalities)
+    pending = _Pending(rows, n)
+    nodes = pivots = 0
+    # each entry: the parent's solved simplex and pending mask, plus the
+    # branching row the child adds (None for the root)
+    stack: list[tuple[_Simplex, np.ndarray, tuple | None]] = [
+        (_Simplex(start, costs), pending.mask(), None)
+    ]
     while stack:
-        extra = stack.pop()
-        effort.nodes += 1
-        assigned = dict(base_fixed)
-        assigned.update(extra)
-        node_free = [i for i in free if i not in extra]
-        if not node_free:
-            candidate = [assigned[i] for i in range(n)]
-            if verify(candidate):
-                value = combined_value(candidate)
-                if best_combined is None or value < best_combined:
-                    best_combined = value
-                    best_assignment = candidate
-            continue
-        mandatory = _box_rows(len(node_free)) + _substitute(
-            eq_pairs, node_free, assigned
-        )
-        optional = _substitute(inequalities, node_free, assigned)
-        costs = [combined[i] for i in node_free]
-        status, point = _solve_lp_generated(mandatory, optional, costs, effort)
+        simplex, live, branch_row = stack.pop()
+        nodes += 1
+        if branch_row is not None:
+            simplex, live = simplex.copy(), live.copy()
+            simplex.add_rows([branch_row])
+        status, point = pending.optimum(simplex, live)
+        pivots += simplex.pivots
         if status != "optimal":
             continue
-        bound = sum(c * p for c, p in zip(costs, point)) + sum(
-            combined[i] * v for i, v in extra.items()
-        )
-        if best_combined is not None and math.ceil(bound) >= best_combined:
+        bound = math.ceil(combined_value(point))
+        if best_combined is not None and bound >= best_combined:
             continue
-        fractional = [(j, p) for j, p in enumerate(point) if p.denominator != 1]
+        fractional = [(i, p) for i, p in enumerate(point) if p.denominator != 1]
         if not fractional:
-            candidate = [0] * n
-            for i, v in assigned.items():
-                candidate[i] = v
-            for j, i in enumerate(node_free):
-                candidate[i] = int(point[j])
+            candidate = [int(p) for p in point]
             if verify(candidate):
-                value = combined_value(candidate)
-                if best_combined is None or value < best_combined:
-                    best_combined = value
-                    best_assignment = candidate
+                best_combined = combined_value(candidate)
+                best_assignment = candidate
             continue
         half = Fraction(1, 2)
-        branch_pos = min(fractional, key=lambda item: (abs(item[1] - half), item[0]))[0]
-        branch_var = node_free[branch_pos]
-        stack.append({**extra, branch_var: 1})
-        stack.append({**extra, branch_var: 0})
+        branch = min(fractional, key=lambda item: (abs(item[1] - half), item[0]))[0]
+        stack.append((simplex, live, _bound_row(branch, 1, n)))
+        stack.append((simplex, live, _bound_row(branch, 0, n)))
 
     if best_assignment is None:
         return Solution(
             status="infeasible",
             assignment=None,
             objective=None,
-            nodes=effort.nodes,
-            pivots=effort.pivots,
+            nodes=nodes,
+            pivots=pivots,
         )
     if not verify(best_assignment):
         raise SolverError("internal error: optimum failed re-verification")
@@ -670,8 +571,8 @@ def solve(inst: ILPInstance) -> Solution:
         status="optimal",
         assignment=tuple(best_assignment),
         objective=_objective_of(inst, best_assignment),
-        nodes=effort.nodes,
-        pivots=effort.pivots,
+        nodes=nodes,
+        pivots=pivots,
     )
 
 

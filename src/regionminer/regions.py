@@ -26,11 +26,11 @@ EncodingVector = tuple[int, ...]
 def sequence_encoding(trace: Trace, alphabet: Sequence[str]) -> EncodingVector:
     """Constraint row generated by a prefix: (1, counts of the proper
     prefix, negated counts of the whole sequence)."""
-    if not trace:
-        return (1,) + (0,) * (2 * len(alphabet))
-    head = parikh(trace[:-1], alphabet)
     whole = parikh(trace, alphabet)
-    return (1,) + head + tuple(-c for c in whole)
+    head = list(whole)
+    if trace:
+        head[alphabet.index(trace[-1])] -= 1
+    return (1,) + tuple(head) + tuple(-c for c in whole)
 
 
 def encoding_shorthand(vector: EncodingVector, alphabet: Sequence[str]) -> str:

@@ -384,3 +384,15 @@ def test_criterion_10_determinism(request):
         if len(outputs) != len(expected):
             failures.append(f"PYTHONHASHSEED={hash_seed}: {len(outputs)} nets printed")
     _report(10, failures)
+
+
+@pytest.mark.parametrize(
+    "fixture, alpha", [(fixture, alpha) for _, fixture, alpha in _CRITERION_10_CASES]
+)
+def test_criterion_10_pnml_matches_golden_bytes(fixture, alpha, request):
+    # the committed nets pin the exact output of every criterion-10 case,
+    # so any change to discovery that alters a single byte fails here
+    suffix = "unfiltered" if alpha is None else f"alpha_{alpha}"
+    golden = (DATA / f"{fixture}_{suffix}.pnml").read_bytes()
+    log = request.getfixturevalue(fixture)
+    assert export_pnml(discover(log, DiscoveryOptions(alpha=alpha))) == golden

@@ -242,6 +242,38 @@ def test_sweep_csv_shape(workspace, capsys):
         assert int(wall) >= 0
 
 
+_NAMELESS_EVENT_XES = (
+    b'<log><trace><event><string key="org:resource" value="x"/></event></trace></log>'
+)
+
+
+@pytest.mark.parametrize(
+    "args, name, content",
+    [
+        (["sweep", "--alphas", "0.75,2", "--noise-levels", "0"], "l1.log", None),
+        (["sweep", "--alphas", "0.75", "--noise-levels", "0,2"], "l1.log", None),
+        (["sweep", "--alphas", "0.75", "--noise-levels", "-0.5"], "l1.log", None),
+        (["discover", "--out-pnml", "{out}"], "latin1.log", b"a \xe9 b\n"),
+        (["discover", "--xes", "--out-pnml", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
+        (["convert", "--out", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
+    ],
+)
+def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
+    if content is not None:
+        (workspace / name).write_bytes(content)
+    flag = "--xes" if args[0] == "convert" else "--log"
+    argv = [args[0], flag, str(workspace / name)] + [
+        arg.format(out=workspace / "out") for arg in args[1:]
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (workspace / "out").exists()
+
+
 def test_convert_xes(workspace):
     out = workspace / "converted.log"
     code = main(["convert", "--xes", str(workspace / "small.xes"), "--out", str(out)])

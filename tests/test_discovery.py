@@ -119,10 +119,10 @@ def test_infeasible_pair_is_skipped(l1):
 def test_solver_error_names_the_pair(l1, monkeypatch):
     from regionminer import ilp
 
-    def stuck(self, cost, allowed):
+    def stuck(self):
         raise SolverError("simplex failed to terminate")
 
-    monkeypatch.setattr(ilp._Simplex, "_run_phase", stuck)
+    monkeypatch.setattr(ilp._Simplex, "_primal", stuck)
     with pytest.raises(SolverError) as exc:
         run_discovery(l1)
     match = re.fullmatch(

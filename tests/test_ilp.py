@@ -22,10 +22,17 @@ from regionminer.regions import (
 from .util import admissible_pairs, random_instance, random_use_system
 
 
+def _lp(rows, costs):
+    """The one LP entry on rows in any order: rows the origin satisfies
+    start the simplex, the others are added to it."""
+    start = [row for row in rows if row[1] <= 0]
+    return _solve_lp(start, [row for row in rows if row[1] > 0], costs)
+
+
 def test_simplex_box_corner():
     # min -x - y st x <= 2, y <= 2 -> optimum -4 at (2, 2)
     rows = [((-1, 0), -2), ((0, -1), -2)]
-    status, point = _solve_lp(rows, [-1, -1])
+    status, point = _lp(rows, [-1, -1])
     assert status == "optimal"
     assert point == [Fraction(2), Fraction(2)]
 
@@ -33,7 +40,7 @@ def test_simplex_box_corner():
 def test_simplex_balances_constraints():
     # min -x - y st x + y <= 3, x <= 2, y <= 2
     rows = [((-1, -1), -3), ((-1, 0), -2), ((0, -1), -2)]
-    status, point = _solve_lp(rows, [-1, -1])
+    status, point = _lp(rows, [-1, -1])
     assert status == "optimal"
     assert sum(point) == 3
 
@@ -41,21 +48,21 @@ def test_simplex_balances_constraints():
 def test_simplex_needs_phase_one():
     # min x st x >= 2, x <= 5
     rows = [((1,), 2), ((-1,), -5)]
-    status, point = _solve_lp(rows, [1])
+    status, point = _lp(rows, [1])
     assert status == "optimal"
     assert point == [Fraction(2)]
 
 
 def test_simplex_detects_infeasible():
     rows = [((1,), 2), ((-1,), -1)]
-    status, _ = _solve_lp(rows, [1])
+    status, _ = _lp(rows, [1])
     assert status == "infeasible"
 
 
 def test_simplex_fractional_optimum():
     # min -x st 2x <= 1
     rows = [((-2,), -1)]
-    status, point = _solve_lp(rows, [-1])
+    status, point = _lp(rows, [-1])
     assert status == "optimal"
     assert point == [Fraction(1, 2)]
 
@@ -74,7 +81,7 @@ def test_simplex_matches_scipy_on_random_lps():
             (tuple(-1 if k == j else 0 for k in range(n)), -3) for j in range(n)
         ]
         costs = [rng.randint(-5, 5) for _ in range(n)]
-        status, point = _solve_lp(rows, costs)
+        status, point = _lp(rows, costs)
         result = scipy_opt.linprog(
             c=costs,
             A_ub=[[-c for c in coefs] for coefs, _ in rows],
@@ -384,12 +391,31 @@ def test_coefficients_beyond_int64_pivot_exactly():
         objective=(5, 3, 4, 2, 7),
     )
     inst = ILPInstance(system=cs, fixings={2: 1, 3: 1})
-    result, _, dtypes = _solve_logging_pivots(inst)
-    assert dtypes and set(dtypes) == {np.dtype(object)}
+    # the tableau dtype after each pivot, and "big" where rows carrying the
+    # large coefficients join it
+    events = []
+    pivot, add_rows = ilp._Simplex._pivot, ilp._Simplex.add_rows
+
+    def spy_pivot(self, row, col):
+        pivot(self, row, col)
+        events.append(self.tableau.dtype)
+
+    def spy_add_rows(self, rows):
+        add_rows(self, rows)
+        if any(abs(c) >= big for coefs, _ in rows for c in coefs):
+            events.append("big")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "_pivot", spy_pivot)
+        patch.setattr(ilp._Simplex, "add_rows", spy_add_rows)
+        result = solve(inst)
+    # int64 pivots before that point are fine; every one after it is exact
+    after = [e for e in events[events.index("big") :] if e != "big"]
+    assert after and set(after) == {np.dtype(object)}
     assert result == brute_force(inst)
     assert result.status == "optimal"
     # entries too large even to build an int64 array
-    assert _solve_lp([((2**70,), 2**69), ((-1,), -1)], [1]) == (
+    assert _lp([((2**70,), 2**69), ((-1,), -1)], [1]) == (
         "optimal",
         [Fraction(1, 2)],
     )
@@ -408,7 +434,8 @@ def test_solution_counts_nodes_and_pivots(l1):
 
 def _warm_and_cold(inst):
     """solve and lp_relax with every row generated one at a time, the
-    dual-simplex results seen, and lp_relax solved cold in one LP."""
+    dual-simplex results seen, and lp_relax with all violated rows added
+    in one batch."""
     outcomes = []
     reoptimise = ilp._Simplex.reoptimise
 
@@ -419,11 +446,10 @@ def _warm_and_cold(inst):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "reoptimise", spy)
-        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
         patch.setattr(ilp, "_ROW_BATCH", 1)
         warm, warm_relaxed = solve(inst), lp_relax(inst)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 10**9)
+        patch.setattr(ilp, "_ROW_BATCH", 10**9)
         cold_relaxed = lp_relax(inst)
     return warm, warm_relaxed, cold_relaxed, outcomes
 
@@ -446,37 +472,55 @@ def test_warm_started_rows_match_brute_force_and_cold_lps(seed, python_ints):
 def test_dual_simplex_reports_infeasible_nodes_and_lps():
     # the example above does reach an infeasible dual re-optimisation
     assert "infeasible" in _warm_and_cold(random_instance(random.Random(11)))[3]
-    # a row that loses every coefficient to the fixings and cannot hold
+    # a body row that contradicts a fixing row
     warm, warm_relaxed, cold_relaxed, outcomes = _warm_and_cold(_contradicted_instance())
     assert warm_relaxed.status == cold_relaxed.status == "infeasible"
     assert warm.status == "infeasible" and outcomes[-1] == "infeasible"
 
 
 def test_row_generated_node_builds_one_simplex(l1):
+    # one _Simplex per solve or lp_relax call; every other node adds rows
+    # to a copy of its parent's
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))
-    inst = instantiate_causal_ilp(cs, "a", "b")
-    built = []
-    added = []
-    init, add_rows = ilp._Simplex.__init__, ilp._Simplex.add_rows
+    branching = random_instance(random.Random(0))
+    built, copies, added = [], [], []
+    init, copy, add_rows = (
+        ilp._Simplex.__init__,
+        ilp._Simplex.copy,
+        ilp._Simplex.add_rows,
+    )
 
     def counting_init(self, rows, costs):
         built.append(len(rows))
         init(self, rows, costs)
 
+    def counting_copy(self):
+        twin = copy(self)
+        copies.append(twin)
+        return twin
+
     def counting_add_rows(self, rows):
-        added.append(len(rows))
+        added.append((self, len(rows)))
         add_rows(self, rows)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "__init__", counting_init)
+        patch.setattr(ilp._Simplex, "copy", counting_copy)
         patch.setattr(ilp._Simplex, "add_rows", counting_add_rows)
-        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
         patch.setattr(ilp, "_ROW_BATCH", 1)
-        relaxed = lp_relax(inst)
-    assert relaxed.status == "optimal"
-    assert len(built) == 1
-    assert len(added) > 1 and set(added) == {1}
+        for inst in (instantiate_causal_ilp(cs, "a", "b"), branching):
+            for call in (lp_relax, solve):
+                for seen in (built, copies, added):
+                    seen.clear()
+                result = call(inst)
+                assert result.status == "optimal"
+                nodes = result.nodes if call is solve else 1
+                assert len(built) == 1
+                assert len(copies) == nodes - 1
+                assert all(any(s is twin for s, _ in added) for twin in copies)
+                assert len(added) > 1 and {count for _, count in added} == {1}
+    assert solve(branching).nodes > 1
 
 
 def test_dual_simplex_that_cannot_finish_names_the_pair(l1):
@@ -490,7 +534,6 @@ def test_dual_simplex_that_cannot_finish_names_the_pair(l1):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "add_rows", stalling_add_rows)
-        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
         patch.setattr(ilp, "_PIVOT_LIMIT", 50)
         with pytest.raises(SolverError, match=r"^pair \(a, b\): dual simplex"):
             solve(instantiate_causal_ilp(cs, "a", "b"))
@@ -510,13 +553,53 @@ def test_rows_with_huge_coefficients_warm_start_exactly(big):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "reoptimise", spy)
-        patch.setattr(ilp, "_ROW_GENERATION_THRESHOLD", 0)
         patch.setattr(ilp, "_ROW_BATCH", 1)
-        status, point = ilp._solve_lp_generated(box, optional, costs)
-    cold_status, cold_point = _solve_lp(box + optional, costs)
+        status, point = _solve_lp(box, optional, costs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "_ROW_BATCH", 10**9)
+        cold_status, cold_point = _solve_lp(box, optional, costs)
     assert status == cold_status == "optimal"
     assert dtypes and (big < 2**61 or dtypes[-1] == np.dtype(object))
     value = sum(c * p for c, p in zip(costs, point))
     assert value == sum(c * p for c, p in zip(costs, cold_point))
     for coefs, rhs in box + optional:
         assert sum(c * p for c, p in zip(coefs, point)) >= rhs
+
+
+def test_simplex_rejects_a_start_row_the_origin_violates():
+    with pytest.raises(SolverError, match="origin"):
+        ilp._Simplex([((-1,), -1), ((1,), 2)], [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+@example(213, False)  # sibling nodes add different rows to copies of one tableau
+def test_signed_objectives_match_brute_force(seed, python_ints):
+    # negative costs make the primal simplex pivot at the root, and the
+    # branch-and-bound children re-optimise from those tableaux
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    signed = tuple(rng.randint(-9, 9) for _ in inst.system.objective)
+    inst = replace(inst, system=replace(inst.system, objective=signed))
+    # whether each optimum row generation returns satisfies every row
+    complete = []
+    optimum = ilp._Pending.optimum
+
+    def spy(self, simplex, live):
+        status, point = optimum(self, simplex, live)
+        if status == "optimal":
+            values = [sum(c * p for c, p in zip(coefs, point)) for coefs, _ in self.rows]
+            complete.append(all(v >= rhs for v, (_, rhs) in zip(values, self.rows)))
+        return status, point
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Pending, "optimum", spy)
+        if python_ints:
+            patch.setattr(ilp, "_INT64_SAFE", 0)  # every pivot on Python ints
+        result, relaxed = solve(inst), lp_relax(inst)
+    assert all(complete)
+    oracle = brute_force(inst)
+    assert result == oracle
+    if oracle.status == "optimal":
+        assert relaxed.status == "optimal"
+        assert relaxed.value <= oracle.objective
