@@ -96,10 +96,11 @@ def parse_trace_log(text: str) -> EventLog:
             continue
         if ";" in line:
             count_text, _, rest = line.partition(";")
-            try:
-                count = int(count_text.strip())
-            except ValueError:
-                raise ParseError(f"malformed count {count_text.strip()!r}", line=lineno) from None
+            count_text = count_text.strip()
+            # int() would also take "1_0", "+2" and non-ASCII digits
+            if not (count_text.isascii() and count_text.isdigit()):
+                raise ParseError(f"malformed count {count_text!r}", line=lineno)
+            count = int(count_text)
             if count <= 0:
                 raise ParseError(f"count must be positive, got {count}", line=lineno)
         else:

@@ -63,6 +63,12 @@ list of Python ints, because the lexicographic objective below scales it
 by 2**n. The pivot rules see the same integers either way, so the pivot
 sequence does not depend on the representation.
 
+LP points: every value is ``rhs_i / den`` over the one tableau
+denominator, so an LP point is its integer numerators with ``den``.
+Row slacks (times ``den``), the node bound, integrality (``den`` divides
+the numerator) and the branching choice are all read from those
+integers; ``Fraction`` appears only in the public ``LPRelaxation``.
+
 Presolve: the trace-emptiness equalities all read
 ``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
 a log can contribute hundreds of them. Before an equality becomes the
@@ -87,7 +93,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -105,6 +110,8 @@ _INT64_SAFE = 1 << 31
 _PIVOT_LIMIT = 100000
 
 Rows = list[tuple[tuple[int, ...], int]]
+# an LP point: integer numerators over one positive denominator
+Point = tuple[list[int], int]
 
 
 @dataclass(frozen=True)
@@ -188,12 +195,11 @@ class _Simplex:
         self.pivots = 0
         self.width = n + m + 1
         # row i reads slack_i - coefs . v = -rhs, with slack_i basic
-        negated = [(tuple(-c for c in coefs), -r) for coefs, r in rows]
-        matrix, rhs, _ = _stack(negated, n)
+        matrix, rhs, _ = _stack(rows, n)
         self.tableau = np.zeros((m, self.width), dtype=matrix.dtype)
-        self.tableau[:, :n] = matrix
+        self.tableau[:, :n] = -matrix
         self.tableau[np.arange(m), n + np.arange(m)] = 1
-        self.tableau[:, -1] = rhs
+        self.tableau[:, -1] = -rhs
         self.basis = list(range(n, n + m))
         # reduced cost of each column (the initial basics all cost zero)
         self.cost = list(costs) + [0] * m
@@ -307,7 +313,7 @@ class _Simplex:
         self.width += count
         self.cost += [0] * count
 
-    def reoptimise(self) -> tuple[str, list[Fraction]]:
+    def reoptimise(self) -> tuple[str, Point | None]:
         """Dual simplex after ``add_rows``: the reduced costs stay
         non-negative while pivots restore a non-negative rhs."""
         basis = self.basis
@@ -338,19 +344,19 @@ class _Simplex:
                 ):
                     entering = j
             if entering is None:
-                return "infeasible", []
+                return "infeasible", None
             self._pivot(row, entering)
             pivots += 1
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("dual simplex failed to terminate")
 
-    def _values(self) -> list[Fraction]:
+    def _values(self) -> Point:
         rhs = self.tableau[:, -1].tolist()
-        values = [Fraction(0)] * self.n
+        num = [0] * self.n
         for i, var in enumerate(self.basis):
             if var < self.n:
-                values[var] = Fraction(rhs[i], self.den)
-        return values
+                num[var] = rhs[i]
+        return num, self.den
 
 
 def _magnitude(array: np.ndarray) -> int:
@@ -362,8 +368,8 @@ def _magnitude(array: np.ndarray) -> int:
 
 def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows as a coefficient matrix and an rhs vector, ``int64`` when
-    every entry fits and ``object`` otherwise, plus their largest
-    absolute entry."""
+    every entry and its negation fit and ``object`` otherwise, plus their
+    largest absolute entry."""
     coefs = [c for c, _ in rows]
     rhs = [r for _, r in rows]
     try:
@@ -372,7 +378,10 @@ def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
     except OverflowError:
         matrix = np.array(coefs, dtype=object).reshape(len(rows), width)
         vector = np.array(rhs, dtype=object)
-    return matrix, vector, max(_magnitude(matrix), _magnitude(vector))
+    magnitude = max(_magnitude(matrix), _magnitude(vector))
+    if magnitude == 1 << 63:  # -2**63 has no int64 negation
+        matrix, vector = matrix.astype(object), vector.astype(object)
+    return matrix, vector, magnitude
 
 
 class _Pending:
@@ -388,29 +397,25 @@ class _Pending:
         """A mask with every row still pending."""
         return np.ones(len(self.rows), dtype=bool)
 
-    def optimum(
-        self, simplex: _Simplex, live: np.ndarray
-    ) -> tuple[str, list[Fraction]]:
+    def optimum(self, simplex: _Simplex, live: np.ndarray) -> tuple[str, Point | None]:
         """Re-optimise ``simplex``, then add the most violated rows of
         ``live`` (clearing them there) and re-optimise again until the
         optimum satisfies every row; an optimum over a subset of the rows
         that is feasible for all of them is optimal for all of them."""
         status, point = simplex.reoptimise()
         while status == "optimal":
-            common = math.lcm(*(f.denominator for f in point)) if point else 1
-            scaled = [int(f * common) for f in point]
-            # |slack| <= magnitude * (width + 1) * max(common, |scaled|)
-            scale = max([common] + [abs(s) for s in scaled])
+            num, den = point
+            # |den * slack| <= magnitude * (width + 1) * max(den, |num|); the
+            # max(.., 1) keeps den and num within int64 when every row is zero
+            scale = max([den] + [abs(v) for v in num])
             if (
                 self.matrix.dtype != object
-                and self.magnitude * (len(point) + 1) * scale < 1 << 63
+                and max(self.magnitude, 1) * (len(num) + 1) * scale < 1 << 63
             ):
-                vector = np.array(scaled, dtype=np.int64)
-                slack = self.matrix @ vector - self.rhs * common
+                slack = self.matrix @ np.array(num, dtype=np.int64) - self.rhs * den
             else:
-                slack = self.matrix.astype(object) @ np.array(scaled, dtype=object) - (
-                    self.rhs.astype(object) * common
-                )
+                rhs = self.rhs.astype(object) * den
+                slack = self.matrix.astype(object) @ np.array(num, dtype=object) - rhs
             violated = np.flatnonzero(live & (slack < 0)).tolist()
             if not violated:
                 break
@@ -423,7 +428,7 @@ class _Pending:
 
 
 def _unit(index: int, count: int, sign: int) -> tuple[int, ...]:
-    return tuple(sign if k == index else 0 for k in range(count))
+    return (0,) * index + (sign,) + (0,) * (count - index - 1)
 
 
 def _bound_row(index: int, value: int, count: int) -> tuple[tuple[int, ...], int]:
@@ -453,7 +458,9 @@ def _solve_lp(
     simplex on the start rows, which must hold at the origin, and the
     other rows by row generation."""
     pending = _Pending(rows, len(costs))
-    return pending.optimum(_Simplex(start, costs), pending.mask())
+    status, point = pending.optimum(_Simplex(start, costs), pending.mask())
+    num, den = point or ([], 1)
+    return status, [Fraction(v, den) for v in num]
 
 
 @_names_pair
@@ -470,10 +477,6 @@ def lp_relax(inst: ILPInstance) -> LPRelaxation:
         return LPRelaxation(status="infeasible", value=None, point=None)
     value = sum(c * p for c, p in zip(costs, point))
     return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
-
-
-def _objective_of(inst: ILPInstance, assignment: Sequence[int]) -> int:
-    return sum(c * v for c, v in zip(inst.system.objective, assignment))
 
 
 @_names_pair
@@ -542,35 +545,31 @@ def solve(inst: ILPInstance) -> Solution:
         pivots += simplex.pivots
         if status != "optimal":
             continue
-        bound = math.ceil(combined_value(point))
+        num, den = point
+        bound = -(-combined_value(num) // den)
         if best_combined is not None and bound >= best_combined:
             continue
-        fractional = [(i, p) for i, p in enumerate(point) if p.denominator != 1]
+        fractional = [i for i, v in enumerate(num) if v % den]
         if not fractional:
-            candidate = [int(p) for p in point]
+            candidate = [v // den for v in num]
             if verify(candidate):
                 best_combined = combined_value(candidate)
                 best_assignment = candidate
             continue
-        half = Fraction(1, 2)
-        branch = min(fractional, key=lambda item: (abs(item[1] - half), item[0]))[0]
+        branch = min(fractional, key=lambda i: (abs(2 * num[i] - den), i))
         stack.append((simplex, live, _bound_row(branch, 1, n)))
         stack.append((simplex, live, _bound_row(branch, 0, n)))
 
     if best_assignment is None:
         return Solution(
-            status="infeasible",
-            assignment=None,
-            objective=None,
-            nodes=nodes,
-            pivots=pivots,
+            status="infeasible", assignment=None, objective=None, nodes=nodes, pivots=pivots
         )
     if not verify(best_assignment):
         raise SolverError("internal error: optimum failed re-verification")
     return Solution(
         status="optimal",
         assignment=tuple(best_assignment),
-        objective=_objective_of(inst, best_assignment),
+        objective=sum(c * v for c, v in zip(cs.objective, best_assignment)),
         nodes=nodes,
         pivots=pivots,
     )

@@ -386,6 +386,15 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
             raise ParseError(f"<{local(element.tag)}> without {name!r} attribute")
         return value
 
+    seen: set[str] = set()
+
+    def node_id(element: ET.Element) -> str:
+        value = attribute(element, "id")
+        if value in seen:
+            raise ParseError(f"duplicate id {value!r}")
+        seen.add(value)
+        return value
+
     places: list[str] = []
     transitions: list[str] = []
     labels: dict[str, str | None] = {}
@@ -393,9 +402,9 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
     for element in root.iter():
         kind = local(element.tag)
         if kind == "place":
-            places.append(attribute(element, "id"))
+            places.append(node_id(element))
         elif kind == "transition":
-            tid = attribute(element, "id")
+            tid = node_id(element)
             transitions.append(tid)
             label: str | None = None
             invisible = False

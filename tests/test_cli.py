@@ -159,6 +159,14 @@ def test_discover_dot_quotes_names_for_dot(workspace, name, quoted):
             assert entity not in rendering
 
 
+# a workflow net with one transition for each activity of l1.log
+_L1_NET = '<place id="i"/><place id="o"/>' + "".join(
+    f'<transition id="t{a}"><name><text>{a}</text></name></transition>'
+    f'<arc source="i" target="t{a}"/><arc source="t{a}" target="o"/>'
+    for a in "abcdefgh"
+)
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -166,6 +174,15 @@ def test_discover_dot_quotes_names_for_dot(workspace, name, quoted):
         "<transition/>",
         '<place id="p"/><transition id="t"/><arc target="t"/>',
         '<place id="p"/><transition id="t"/><arc source="p"/>',
+        pytest.param(_L1_NET + '<place id="i"/>', id="duplicate-place-id"),
+        pytest.param(
+            _L1_NET + '<transition id="ta"><name><text>a</text></name></transition>',
+            id="duplicate-transition-id",
+        ),
+        pytest.param(
+            _L1_NET + '<transition id="o"><name><text>a</text></name></transition>',
+            id="transition-with-a-place-id",
+        ),
     ],
 )
 def test_evaluate_pnml_missing_attribute_fails(workspace, capsys, body):

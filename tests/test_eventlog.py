@@ -44,7 +44,9 @@ def test_parse_count_defaults_to_one():
     assert log.traces == {("a", "b", "c"): 1}
 
 
-@pytest.mark.parametrize("text", ["0;a b", "-3;a b", "x;a b", "2.5;a b"])
+@pytest.mark.parametrize(
+    "text", ["0;a b", "-3;a b", "x;a b", "2.5;a b", "1_0;a b", "\u0663;a b", "+2;a b"]
+)
 def test_parse_rejects_bad_counts(text):
     with pytest.raises(ParseError) as exc:
         parse_trace_log(text)

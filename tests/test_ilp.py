@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regionminer import ilp
+from regionminer import DiscoveryOptions, ilp, run_discovery
 from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.ilp import _solve_lp, brute_force, lp_relax, solve
@@ -421,6 +421,17 @@ def test_coefficients_beyond_int64_pivot_exactly():
     )
 
 
+def test_start_row_at_the_int64_minimum_solves_exactly():
+    # -2**63 fits int64 but its negation does not; the optimum's
+    # denominator, 2**63, does not fit either
+    big = 1 << 63
+    assert _lp([((-big,), -big)], [-1]) == ("optimal", [Fraction(1)])
+    assert _lp([((-big, 0), -big), ((0, -1), -1), ((1, 1), 1)], [-1, 1]) == (
+        "optimal",
+        [Fraction(1), Fraction(0)],
+    )
+
+
 def test_solution_counts_nodes_and_pivots(l1):
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))
@@ -430,6 +441,81 @@ def test_solution_counts_nodes_and_pivots(l1):
     oracle = brute_force(instantiate_causal_ilp(cs, "a", "b"))
     assert (oracle.nodes, oracle.pivots) == (0, 0)
     assert result == oracle  # the counters describe the search only
+
+
+def test_search_path_is_pinned(request):
+    # every pivot and branching rule is deterministic, so a change to one
+    # of them, or to the bound or the integrality test, moves these sums
+    seeded = [solve(random_instance(random.Random(seed))) for seed in range(40)]
+    assert (sum(s.pivots for s in seeded), sum(s.nodes for s in seeded)) == (243, 44)
+    for fixture, alpha, work in [
+        ("l1", None, (98, 15)),
+        ("l1_prime", 0.75, (98, 15)),
+        ("l1_prime", None, (110, 15)),
+    ]:
+        solutions = []
+
+        def counting_solve(inst):
+            solutions.append(solve(inst))
+            return solutions[-1]
+
+        log = request.getfixturevalue(fixture)
+        run_discovery(log, DiscoveryOptions(alpha=alpha, solver=counting_solve))
+        assert (
+            sum(s.pivots for s in solutions),
+            sum(s.nodes for s in solutions),
+        ) == work, (fixture, alpha)
+
+
+def test_branching_takes_the_value_nearest_one_half():
+    # the integer rule |2 num - den| must pick what |p - 1/2| picks on
+    # the Fractions, ties to the lower index, at every branching node
+    branched, last = [], []
+    optimum, bound_row = ilp._Pending.optimum, ilp._bound_row
+
+    def spy_optimum(self, simplex, live):
+        result = optimum(self, simplex, live)
+        last[:] = [result[1]]
+        return result
+
+    def spy_bound_row(index, value, count):
+        if last and value == 1:  # solve branches: the one-branch row first
+            branched.append((index, last[0]))
+        return bound_row(index, value, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Pending, "optimum", spy_optimum)
+        patch.setattr(ilp, "_bound_row", spy_bound_row)
+        for seed in range(150):
+            last.clear()
+            solve(random_instance(random.Random(seed)))
+    half = Fraction(1, 2)
+    for index, (num, den) in branched:
+        point = [Fraction(v, den) for v in num]
+        fractional = [i for i, p in enumerate(point) if p.denominator != 1]
+        assert index == min(fractional, key=lambda i: (abs(point[i] - half), i))
+    # the rule has a choice to make on at least one of these nodes
+    assert any(
+        len({Fraction(v, den) for v in num if v % den}) > 1 for _, (num, den) in branched
+    )
+
+
+def test_bound_rounds_the_relaxation_up():
+    # over (m, x(a), x(b), y(a), y(b)) with a zero objective the costs are
+    # the tie-break weights 16, 8, 4, 2, 1; with y(b) <= y(a) the root LP
+    # is y(a) = y(b) = 1/2 at 3/2, the binary optimum is y(a) = 1 at 2,
+    # and ceil(3/2) = 2 prunes the root once that optimum is the incumbent
+    cs = ConstraintSystem(
+        alphabet=("a", "b"),
+        inequality_rows=(Row(vector=(0, 0, 0, 1, -1), source=(), weight=1),),
+        equality_rows=(),
+        objective=(0,) * 5,
+    )
+    inst = ILPInstance(system=cs, fixings={})
+    cold = solve(inst)
+    assert cold.assignment == (0, 0, 0, 1, 0) and cold.nodes == 3
+    warm = solve(replace(inst, seeds=(cold.assignment,)))
+    assert warm == cold and warm.nodes == 1
 
 
 def _warm_and_cold(inst):
@@ -588,8 +674,9 @@ def test_signed_objectives_match_brute_force(seed, python_ints):
     def spy(self, simplex, live):
         status, point = optimum(self, simplex, live)
         if status == "optimal":
-            values = [sum(c * p for c, p in zip(coefs, point)) for coefs, _ in self.rows]
-            complete.append(all(v >= rhs for v, (_, rhs) in zip(values, self.rows)))
+            num, den = point
+            values = [sum(c * v for c, v in zip(coefs, num)) for coefs, _ in self.rows]
+            complete.append(all(v >= rhs * den for v, (_, rhs) in zip(values, self.rows)))
         return status, point
 
     with pytest.MonkeyPatch.context() as patch:
