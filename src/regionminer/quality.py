@@ -1,10 +1,13 @@
 """Scoring discovered nets and injecting controlled noise into logs.
 
 Fitness is token-based replay with missing-token insertion; precision is
-an escaping-edges measure over the log's prefix states. Both replay by
-the rule stated in ``petri`` (label check, silent walk, hop bound). Both
-are multiplicity-weighted, live in [0, 1] and are invariant under scaling
-all multiplicities by the same factor.
+an escaping-edges measure. Both come from one pass over the log's sorted
+prefix tree that keeps one replay state per prefix, derived from its
+parent's by the rule stated in ``petri`` (label check, silent walk, hop
+bound). Precision counts the prefixes where nothing was inserted; a full
+trace's end step is taken on the same silent walk. Both scores are
+multiplicity-weighted, live in [0, 1] and are invariant under scaling all
+multiplicities by the same factor.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .eventlog import EventLog, Trace, prefix_closure
-from .petri import Marking, WorkflowNet, enabled, fire, label_map, silent_walk, walk_until
+from .petri import WorkflowNet, enabled, fire, label_map, silent_walk
 
 
 @dataclass(frozen=True)
@@ -30,53 +33,6 @@ class QualityReport:
         return "\n".join(lines) + "\n"
 
 
-def _replay_with_insertion(
-    wfnet: WorkflowNet, transition_of: dict[str, str], trace: Trace
-) -> tuple[int, int, int, int]:
-    """Produced, consumed, missing and remaining tokens of one trace: each
-    event fires, with a token inserted on every empty input place when the
-    silent walk cannot enable it; the end consumes a token from the sink."""
-    net = wfnet.net
-    marking = wfnet.initial_marking()
-    fired: list[str] = []
-    missing = 0
-    for label in trace:
-        t = transition_of[label]
-        marking, path, ready = walk_until(net, marking, lambda m: enabled(net, m, t))
-        fired += path
-        if not ready:
-            empty = net.preset[t] - marking.keys()
-            missing += len(empty)
-            marking = {**marking, **dict.fromkeys(empty, 1)}
-        marking = fire(net, marking, t)
-        fired.append(t)
-    final = wfnet.final_marking()
-    marking, path, _ = walk_until(net, marking, lambda m: m == final)
-    fired += path
-    ends = marking.get(wfnet.sink, 0) > 0
-    produced = 1 + sum(len(net.postset[t]) for t in fired)  # 1: the source token
-    consumed = ends + sum(len(net.preset[t]) for t in fired)
-    return produced, consumed, missing + (not ends), sum(marking.values()) - ends
-
-
-def _replay_log(
-    wfnet: WorkflowNet, transition_of: dict[str, str], log: EventLog
-) -> tuple[list[int], int, int]:
-    """Multiplicity-weighted produced, consumed, missing and remaining
-    totals over the log, and the number of trace instances that replay
-    without and with token insertion."""
-    totals = [0, 0, 0, 0]
-    replayed = blocked = 0
-    for trace, mult in sorted(log.traces.items()):
-        counts = _replay_with_insertion(wfnet, transition_of, trace)
-        totals = [total + mult * count for total, count in zip(totals, counts)]
-        if counts[2:] == (0, 0):  # no missing and no remaining tokens
-            replayed += mult
-        else:
-            blocked += mult
-    return totals, replayed, blocked
-
-
 def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> float:
     fitness = 0.0
     if consumed > 0:
@@ -86,63 +42,71 @@ def _fitness(produced: int, consumed: int, missing: int, remaining: int) -> floa
     return fitness
 
 
-def token_fitness(wfnet: WorkflowNet, log: EventLog) -> float:
-    """Token replay fitness: insert tokens where a firing lacks them, then
-    score 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced) over
-    the multiplicity-weighted totals. Empty denominators contribute zero."""
-    return _fitness(*_replay_log(wfnet, label_map(wfnet.net, log.alphabet), log)[0])
-
-
-def _precision_masses(
-    wfnet: WorkflowNet, transition_of: dict[str, str], log: EventLog
-) -> tuple[int, int]:
-    """Escaping and allowed mass over the replayable prefixes. Each
-    prefix's state is its parent's advanced by one event; sorting puts
-    every parent before its children."""
-    net = wfnet.net
-    pc = prefix_closure(log)
-    states: dict[Trace, Marking] = {(): wfnet.initial_marking()}
-    escaping_mass = 0
-    allowed_mass = 0
-    for prefix, weight in sorted(pc.entries.items()):
-        state = states.pop(prefix, None)
-        if state is None:
-            continue  # the prefix does not replay
-        walk = [marking for marking, _ in silent_walk(net, state)]
-        allowed = {
-            label
-            for marking in walk
-            for label, t in transition_of.items()
-            if enabled(net, marking, t)
-        }
-        used = {a for a in pc.alphabet if prefix + (a,) in pc.entries}
-        escaping_mass += weight * len(allowed - used)
-        allowed_mass += weight * len(allowed)
-        for a in used:
-            t = transition_of[a]
-            marking = next((m for m in walk if enabled(net, m, t)), None)
-            if marking is not None:
-                states[prefix + (a,)] = fire(net, marking, t)
-    return escaping_mass, allowed_mass
-
-
 def _precision(escaping_mass: int, allowed_mass: int) -> float:
     if allowed_mass == 0:
         return 1.0
     return 1.0 - escaping_mass / allowed_mass
 
 
-def escaping_edges_precision(wfnet: WorkflowNet, log: EventLog) -> float:
-    """One minus the weighted share of model-enabled continuations the log
-    never takes, over every replayable log prefix."""
-    return _precision(*_precision_masses(wfnet, label_map(wfnet.net, log.alphabet), log))
-
-
 def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
-    """Fitness, precision and the underlying replay counters."""
-    transition_of = label_map(wfnet.net, log.alphabet)
-    totals, replayed, blocked = _replay_log(wfnet, transition_of, log)
-    escaping_mass, allowed_mass = _precision_masses(wfnet, transition_of, log)
+    """Fitness, precision and the underlying replay counters, from one
+    token-insertion replay of every prefix of the log.
+
+    Each prefix's state (marking, and tokens produced, consumed and
+    inserted so far) is its parent's advanced by one event; sorting puts
+    every parent before its children. One silent walk from a prefix's
+    marking serves all of its children (the first marking that enables
+    the event, else the last with its empty input places filled), its
+    allowed labels, and, for a full trace, the end step (the first
+    marking equal to the final one, else the last)."""
+    if log.is_empty():
+        raise ValueError("cannot score an empty log")
+    net = wfnet.net
+    transition_of = label_map(net, log.alphabet)
+    final = wfnet.final_marking()
+    pc = prefix_closure(log)
+    states = {(): (wfnet.initial_marking(), 1, 0, 0)}  # 1: the source token
+    totals = [0, 0, 0, 0]  # produced, consumed, missing, remaining
+    replayed = blocked = escaping_mass = allowed_mass = 0
+    for prefix, weight in sorted(pc.entries.items()):
+        marking, produced, consumed, missing = states.pop(prefix)
+        walk = list(silent_walk(net, marking))
+        used = {a for a in pc.alphabet if prefix + (a,) in pc.entries}
+        for a in used:
+            t = transition_of[a]
+            marking, path = next(((m, p) for m, p in walk if enabled(net, m, t)), walk[-1])
+            empty = net.preset[t] - marking.keys()
+            fired = path + (t,)
+            states[prefix + (a,)] = (
+                fire(net, {**marking, **dict.fromkeys(empty, 1)}, t),
+                produced + sum(len(net.postset[u]) for u in fired),
+                consumed + sum(len(net.preset[u]) for u in fired),
+                missing + len(empty),
+            )
+        if not missing:  # precision looks only at prefixes replayed as they are
+            allowed = {
+                label
+                for m, _ in walk
+                for label, t in transition_of.items()
+                if enabled(net, m, t)
+            }
+            escaping_mass += weight * len(allowed - used)
+            allowed_mass += weight * len(allowed)
+        mult = log.traces.get(prefix)
+        if mult:
+            marking, path = next(((m, p) for m, p in walk if m == final), walk[-1])
+            ends = marking.get(wfnet.sink, 0) > 0
+            counts = (
+                produced + sum(len(net.postset[u]) for u in path),
+                consumed + sum(len(net.preset[u]) for u in path) + ends,
+                missing + (not ends),
+                sum(marking.values()) - ends,
+            )
+            totals = [total + mult * count for total, count in zip(totals, counts)]
+            if counts[2:] == (0, 0):  # no missing and no remaining tokens
+                replayed += mult
+            else:
+                blocked += mult
     return QualityReport(
         fitness=_fitness(*totals),
         precision=_precision(escaping_mass, allowed_mass),
@@ -153,6 +117,20 @@ def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
             "allowed_mass": allowed_mass,
         },
     )
+
+
+def token_fitness(wfnet: WorkflowNet, log: EventLog) -> float:
+    """Token replay fitness: insert tokens where a firing lacks them, then
+    score 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced) over
+    the multiplicity-weighted totals. Empty denominators contribute zero."""
+    return evaluate(wfnet, log).fitness
+
+
+def escaping_edges_precision(wfnet: WorkflowNet, log: EventLog) -> float:
+    """One minus the weighted share of model-enabled continuations the log
+    never takes, over every log prefix that replays without inserting a
+    token."""
+    return evaluate(wfnet, log).precision
 
 
 _MANIPULATIONS = ("head", "tail", "body", "swap")

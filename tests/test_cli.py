@@ -273,6 +273,7 @@ _NAMELESS_EVENT_XES = (
         (["discover", "--out-pnml", "{out}"], "latin1.log", b"a \xe9 b\n"),
         (["discover", "--xes", "--out-pnml", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
         (["convert", "--out", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
+        (["evaluate", "--pnml", "{net}"], "empty.log", b"# only a comment\n"),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
@@ -280,7 +281,8 @@ def test_malformed_input_is_one_error_line(workspace, capsys, args, name, conten
         (workspace / name).write_bytes(content)
     flag = "--xes" if args[0] == "convert" else "--log"
     argv = [args[0], flag, str(workspace / name)] + [
-        arg.format(out=workspace / "out") for arg in args[1:]
+        arg.format(out=workspace / "out", net=DATA / "l1_unfiltered.pnml")
+        for arg in args[1:]
     ]
     code = main(argv)
     captured = capsys.readouterr()
@@ -297,6 +299,26 @@ def test_convert_xes(workspace):
     assert code == 0
     log = parse_trace_log(out.read_text())
     assert log.traces == {("a", "b", "c"): 2, ("a", "b"): 1}
+
+
+_EMPTY_TRACE_XES = (
+    b'<log><trace/><trace><event><string key="concept:name" value="a"/></event>'
+    b'<event><string key="concept:name" value="b"/></event></trace></log>'
+)
+
+
+def test_xes_trace_without_events_is_the_empty_case(workspace, capsys):
+    xes, log, pnml = workspace / "e.xes", workspace / "e.log", workspace / "e.pnml"
+    xes.write_bytes(_EMPTY_TRACE_XES)
+    assert main(["convert", "--xes", str(xes), "--out", str(log)]) == 0
+    assert log.read_text().splitlines() == ["1;", "1;a b"]
+    args = ["discover", "--xes", "--log", str(xes), "--no-filter", "--out-pnml", str(pnml)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--log", str(log), "--pnml", str(pnml)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "fitness=1.000000" in lines
+    assert "replayed_traces=2" in lines and "blocked_traces=0" in lines
 
 
 def test_missing_file_is_pipeline_error(workspace, capsys):

@@ -117,28 +117,6 @@ def test_replay_rejects_a_duplicated_label_it_does_not_use(w1):
         replay(wf, ("a", "b", "d", "e", "h"))
 
 
-@pytest.fixture()
-def silent_cycle():
-    """A silent self-loop on p that the silent walk keeps firing: the hop
-    bound is what ends it."""
-    net = PetriNet(
-        ["pi", "p", "q", "po"],
-        ["ts", "tl", "tf", "ta"],
-        [
-            ("pi", "ts"),
-            ("ts", "p"),
-            ("p", "tl"),
-            ("tl", "p"),
-            ("p", "tf"),
-            ("tf", "q"),
-            ("q", "ta"),
-            ("ta", "po"),
-        ],
-        {"ts": None, "tl": None, "tf": "f", "ta": "a"},
-    )
-    return WorkflowNet(net=net, source="pi", sink="po")
-
-
 def test_silent_walk_fires_at_most_one_more_than_the_transitions(silent_cycle):
     result = replay(silent_cycle, ("a",))
     assert not result.ok and result.blocked_at == 0

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionminer.discovery import DiscoveryOptions, discover
 from regionminer.errors import ReplayError
 from regionminer.eventlog import EventLog
 from regionminer.petri import PetriNet, WorkflowNet, replay
 from regionminer.quality import (
+    QualityReport,
     escaping_edges_precision,
     evaluate,
     inject_noise,
@@ -29,20 +32,84 @@ def test_fitness_degenerate_empty_net():
     assert token_fitness(wf, log) == 0.0
 
 
-def test_fitness_detects_missing_tokens():
-    # g's input place is never fed: replay of <a, g> inserts one token
+@pytest.fixture()
+def missing_token_net():
+    """g's input place is never fed, so every <.., g, ..> inserts a token."""
     net = PetriNet(
         ["source", "p1", "pg", "sink"],
         ["ta", "tg"],
         [("source", "ta"), ("ta", "p1"), ("pg", "tg"), ("tg", "sink")],
         {"ta": "a", "tg": "g"},
     )
-    wf = WorkflowNet(net=net, source="source", sink="sink")
+    return WorkflowNet(net=net, source="source", sink="sink")
+
+
+def test_fitness_detects_missing_tokens(missing_token_net):
     log = EventLog(traces={("a", "g"): 1})
     # hand count: produced = 1 initial + 1 (ta) + 1 (tg) = 3, consumed =
     # 1 (ta) + 1 (tg) + 1 final = 3, missing = 1 (pg), remaining = 1 (p1)
-    assert token_fitness(wf, log) == pytest.approx(2 / 3)
-    assert token_fitness(wf, log) < 1
+    assert token_fitness(missing_token_net, log) == pytest.approx(2 / 3)
+    assert token_fitness(missing_token_net, log) < 1
+
+
+@pytest.fixture(scope="module")
+def empty_trace_net():
+    return discover(EventLog(traces={(): 1, ("a", "b"): 3, ("a", "c", "b"): 1}))
+
+
+@pytest.fixture()
+def silent_after_sink_net():
+    """A silent transition drains the sink, so a walk can pass the final
+    marking."""
+    net = PetriNet(
+        ["source", "sink", "px"],
+        ["ta", "tx"],
+        [("source", "ta"), ("ta", "sink"), ("sink", "tx"), ("tx", "px")],
+        {"ta": "a", "tx": None},
+    )
+    return WorkflowNet(net=net, source="source", sink="sink")
+
+
+def _report(fitness, precision, replayed, blocked, escaping, allowed):
+    counts = {
+        "replayed_traces": replayed,
+        "blocked_traces": blocked,
+        "escaping_mass": escaping,
+        "allowed_mass": allowed,
+    }
+    return QualityReport(fitness=fitness, precision=precision, counts=counts)
+
+
+@pytest.mark.parametrize(
+    "net, traces, expected",
+    [
+        # <a> fires without insertion but leaves p1 marked, <a, g> inserts
+        # after the shared prefix <a>, <g, a> inserts first and goes on
+        (
+            "missing_token_net",
+            {("a",): 2, ("a", "g"): 1, ("g", "a"): 1},
+            _report(0.55, 1.0, 0, 4, 0, 4),
+        ),
+        # <a> inserts after a walk cut by the hop bound
+        ("silent_cycle", {("a",): 1, ("f", "a"): 1}, _report(0.9375, 1.0, 1, 1, 0, 3)),
+        # the root of the prefix tree is itself a full trace
+        (
+            "empty_trace_net",
+            {(): 2, ("a", "b"): 3, ("b",): 1},
+            _report(0.9567226890756302, 0.6, 5, 1, 6, 15),
+        ),
+        # the end step stops at the first marking equal to the final one
+        ("silent_after_sink_net", {("a",): 1}, _report(1.0, 1.0, 1, 0, 0, 1)),
+    ],
+)
+def test_evaluate_pins_the_full_report(net, traces, expected, request):
+    assert evaluate(request.getfixturevalue(net), EventLog(traces=traces)) == expected
+
+
+@pytest.mark.parametrize("score", [evaluate, token_fitness, escaping_edges_precision])
+def test_scoring_an_empty_log_is_an_error(score, l1_net):
+    with pytest.raises(ValueError, match="^cannot score an empty log$"):
+        score(l1_net, EventLog(traces={}))
 
 
 def test_fitness_errors_on_missing_labels(l1_net):
@@ -126,6 +193,29 @@ def test_evaluate_matches_the_public_metrics(name, l1, l1_net, request):
     assert report.counts["replayed_traces"] == sum(
         mult for trace, mult in log.traces.items() if replay(l1_net, trace).ok
     )
+
+
+@st.composite
+def _logs_and_seeds(draw):
+    alphabet = draw(st.lists(st.sampled_from("abcde"), min_size=2, max_size=4, unique=True))
+    trace = st.lists(st.sampled_from(alphabet), min_size=1, max_size=5)
+    pairs = draw(st.lists(st.tuples(trace, st.integers(1, 5)), min_size=1, max_size=5))
+    return EventLog.from_pairs(pairs), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_logs_and_seeds())
+def test_evaluate_agrees_with_replay_on_noisy_logs(log_and_seed):
+    log, seed = log_and_seed
+    net = discover(log, DiscoveryOptions(alpha=0.75))
+    noisy = inject_noise(log, 0.5, seed)
+    counts = evaluate(net, noisy).counts
+    # replay shares no state with evaluate's prefix-tree pass
+    assert counts["replayed_traces"] == sum(
+        mult for trace, mult in noisy.traces.items() if replay(net, trace).ok
+    )
+    assert counts["replayed_traces"] + counts["blocked_traces"] == noisy.total_instances
+    assert 0 <= counts["escaping_mass"] <= counts["allowed_mass"]
 
 
 def test_inject_noise_level_zero_is_identity(l1):
