@@ -154,8 +154,10 @@ def _cmd_sweep(args) -> int:
     log = _read_log(args.log, xes=False)
     alphas = [token.strip() for token in args.alphas.split(",") if token.strip()]
     levels = [token.strip() for token in args.noise_levels.split(",") if token.strip()]
-    # build every option and noisy log before the header, so a bad value
-    # is reported on its own and nothing reaches stdout
+    # check the log and build every option and noisy log before the header,
+    # so a bad input is reported on its own and nothing reaches stdout
+    if log.is_empty():
+        raise ValueError("cannot discover from an empty log")
     threshold = args.dependency_threshold
     grid = [
         (token, DiscoveryOptions(alpha=float(token), dependency_threshold=threshold))

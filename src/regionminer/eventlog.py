@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ParseError
@@ -230,6 +231,8 @@ class PrefixClosure:
     trace) to its closure frequency: the trace's own multiplicity plus the
     frequencies of all its one-step extensions. ``start``/``end`` carry the
     unique start/end activities when the closed log was a USE log.
+    ``encodings`` tables every prefix's constraint row for the
+    sequence-encoding graph, the constraint system and ``check_region``.
     """
 
     entries: Mapping[Trace, int]
@@ -243,6 +246,24 @@ class PrefixClosure:
     @property
     def total_instances(self) -> int:
         return self.entries.get((), 0)
+
+    @cached_property
+    def encodings(self) -> Mapping[Trace, tuple[int, ...]]:
+        """Every prefix's ``regions.sequence_encoding`` over
+        ``ordered_alphabet()`` in (length, prefix) order, computed once.
+        Each row comes from its parent's: the parent's negated tail is the
+        head, and the tail counts the last activity once more."""
+        alphabet = self.ordered_alphabet()
+        n = len(alphabet)
+        column = {a: n + 1 + i for i, a in enumerate(alphabet)}
+        table: dict[Trace, tuple[int, ...]] = {(): (1,) + (0,) * (2 * n)}
+        for trace in sorted(self.entries, key=lambda t: (len(t), t)):
+            if trace:
+                tail = table[trace[:-1]][n + 1 :]
+                row = [1, *(-c for c in tail), *tail]
+                row[column[trace[-1]]] -= 1
+                table[trace] = tuple(row)
+        return table
 
     def full_traces(self) -> dict[Trace, int]:
         """The original bag this closure was built from (log multiplicities):

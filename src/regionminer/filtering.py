@@ -1,10 +1,11 @@
 """Frequency filtering on the constraint body via the sequence-encoding graph.
 
-Vertices are the deduplicated encoding vectors of a prefix-closure plus a
-root for the empty sequence; arcs follow one-step extensions and carry the
-frequency mass that flows along them. A breadth-first sweep keeps, per
-vertex, only the children selected by a pluggable filter; everything the
-sweep never reaches is stripped from the constraint body.
+Vertices are the deduplicated rows of the closure's encoding table
+(``PrefixClosure.encodings``), the empty sequence's row being the root;
+arcs follow one-step extensions and carry the frequency mass that flows
+along them. A breadth-first sweep keeps, per vertex, only the children
+selected by a pluggable filter; everything the sweep never reaches is
+stripped from the constraint body.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 from .dot import quote
 from .eventlog import PrefixClosure
-from .regions import (
-    EncodingVector,
-    encoding_length,
-    encoding_shorthand,
-    sequence_encoding,
-)
+from .regions import EncodingVector, encoding_length, encoding_shorthand
 
 KappaFilter = Callable[[EncodingVector], Iterable[EncodingVector]]
 
@@ -50,22 +46,23 @@ class SequenceEncodingGraph:
 
 
 def build_graph(pc: PrefixClosure) -> SequenceEncodingGraph:
-    """Construct the sequence-encoding graph of a prefix-closure."""
-    alphabet = pc.ordered_alphabet()
-    encodings = {trace: sequence_encoding(trace, alphabet) for trace in pc.entries}
+    """Construct the sequence-encoding graph of a prefix-closure from its
+    encoding table."""
+    table = pc.encodings
     vertex_weight: dict[EncodingVector, int] = {}
     children: dict[EncodingVector, dict[EncodingVector, int]] = {}
-    for trace, freq in pc.entries.items():
-        vec = encodings[trace]
+    for trace, vec in table.items():
+        freq = pc.entries[trace]
         vertex_weight[vec] = vertex_weight.get(vec, 0) + freq
         children.setdefault(vec, {})
         if trace:
-            parent = encodings[trace[:-1]]
-            arcs = children.setdefault(parent, {})
+            arcs = children.setdefault(table[trace[:-1]], {})
             arcs[vec] = arcs.get(vec, 0) + freq
-    root = encodings[()]
     graph = SequenceEncodingGraph(
-        root=root, children=children, vertex_weight=vertex_weight, alphabet=alphabet
+        root=table[()],
+        children=children,
+        vertex_weight=vertex_weight,
+        alphabet=pc.ordered_alphabet(),
     )
     _assert_acyclic(graph)
     return graph

@@ -183,8 +183,16 @@ def _independent_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
     return kept
 
 
-def _sorted_closure(pc: PrefixClosure) -> list[tuple[Trace, int]]:
-    return sorted(pc.entries.items(), key=lambda item: (len(item[0]), item[0]))
+def _grouped(rows: Iterable[tuple[EncodingVector, Trace, int]]) -> tuple[Row, ...]:
+    """Merge rows with equal vectors: first source, summed weights, in
+    order of first occurrence."""
+    groups: dict[EncodingVector, list] = {}
+    for vec, source, weight in rows:
+        if vec in groups:
+            groups[vec][1] += weight
+        else:
+            groups[vec] = [source, weight]
+    return tuple(Row(vec, source, weight) for vec, (source, weight) in groups.items())
 
 
 def build_constraint_system(
@@ -192,72 +200,44 @@ def build_constraint_system(
 ) -> ConstraintSystem:
     """Assemble the constraint system for a USE prefix-closure.
 
-    Rows are deduplicated by exact vector equality (order abstraction:
-    different interleavings share a row) with frequencies summed. When
+    Rows are the closure's encodings, deduplicated by exact vector
+    equality (order abstraction: different interleavings share a row) with
+    frequencies summed; a full trace's equality row mirrors its tail. When
     ``retained`` is given, only inequality rows whose vector survived the
     filter are emitted, and a trace's emptiness equality is kept only when
     the trace's entire prefix path survived.
     """
     alphabet = pc.ordered_alphabet()
-    vectors: dict[EncodingVector, tuple[Trace, int]] = {}
-    encodings: dict[Trace, EncodingVector] = {}
-    for trace, freq in _sorted_closure(pc):
-        if not trace:
-            continue
-        vec = sequence_encoding(trace, alphabet)
-        encodings[trace] = vec
-        if vec in vectors:
-            source, weight = vectors[vec]
-            vectors[vec] = (source, weight + freq)
-        else:
-            vectors[vec] = (trace, freq)
-
+    n = len(alphabet)
+    table = pc.encodings
+    inequality_rows = _grouped(
+        (vec, trace, pc.entries[trace]) for trace, vec in table.items() if trace
+    )
+    full = pc.full_traces()
     if retained is not None:
         retained = frozenset(retained)
-        unknown = retained - set(vectors)
+        unknown = retained - {row.vector for row in inequality_rows}
         if unknown:
             raise ValueError(
                 f"{len(unknown)} retained vector(s) do not occur in the closure"
             )
-        kept = {vec: sw for vec, sw in vectors.items() if vec in retained}
-    else:
-        kept = vectors
-
-    inequality_rows = tuple(
-        Row(vector=vec, source=source, weight=weight)
-        for vec, (source, weight) in sorted(
-            kept.items(), key=lambda item: (len(item[1][0]), item[1][0])
-        )
+        inequality_rows = tuple(r for r in inequality_rows if r.vector in retained)
+        full = {
+            trace: mult
+            for trace, mult in full.items()
+            if all(table[trace[:cut]] in retained for cut in range(1, len(trace) + 1))
+        }
+    equality_rows = _grouped(
+        ((1,) + tuple(-c for c in vec[n + 1 :]) + vec[n + 1 :], trace, full[trace])
+        for trace, vec in table.items()
+        if trace in full
     )
 
-    equality_vectors: dict[tuple[int, ...], tuple[Trace, int]] = {}
-    for trace, mult in sorted(pc.full_traces().items()):
-        if retained is not None:
-            path_kept = all(
-                encodings[trace[:cut]] in retained for cut in range(1, len(trace) + 1)
-            )
-            if not path_kept:
-                continue
-        counts = parikh(trace, alphabet)
-        vec = (1,) + counts + tuple(-c for c in counts)
-        if vec in equality_vectors:
-            source, weight = equality_vectors[vec]
-            equality_vectors[vec] = (source, weight + mult)
-        else:
-            equality_vectors[vec] = (trace, mult)
-    equality_rows = tuple(
-        Row(vector=vec, source=source, weight=weight)
-        for vec, (source, weight) in sorted(
-            equality_vectors.items(), key=lambda item: (len(item[1][0]), item[1][0])
-        )
-    )
-
-    objective = _objective_from_rows(inequality_rows, len(alphabet))
     return ConstraintSystem(
         alphabet=alphabet,
         inequality_rows=inequality_rows,
         equality_rows=equality_rows,
-        objective=objective,
+        objective=_objective_from_rows(inequality_rows, n),
     )
 
 
@@ -335,15 +315,11 @@ def check_region(
 ) -> tuple[bool, Trace | None]:
     """Evaluate every prefix inequality on the candidate; returns the first
     violated source sequence (rows ordered by length, then sequence)."""
-    alphabet = pc.ordered_alphabet()
     vec = candidate.vector()
-    if len(vec) != 2 * len(alphabet) + 1:
+    if len(vec) != 2 * len(pc.ordered_alphabet()) + 1:
         raise ValueError("candidate dimensions do not match the closure alphabet")
-    for trace, _freq in _sorted_closure(pc):
-        if not trace:
-            continue
-        row = sequence_encoding(trace, alphabet)
-        if sum(r * v for r, v in zip(row, vec)) < 0:
+    for trace, row in pc.encodings.items():
+        if trace and sum(r * v for r, v in zip(row, vec)) < 0:
             return False, trace
     return True, None
 

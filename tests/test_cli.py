@@ -274,6 +274,11 @@ _NAMELESS_EVENT_XES = (
         (["discover", "--xes", "--out-pnml", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
         (["convert", "--out", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
         (["evaluate", "--pnml", "{net}"], "empty.log", b"# only a comment\n"),
+        (
+            ["sweep", "--alphas", "1", "--noise-levels", "0"],
+            "empty.log",
+            b"# only a comment\n",
+        ),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
@@ -354,3 +359,35 @@ def test_determinism_across_runs(workspace):
             ]
         )
     assert (workspace / "one.pnml").read_bytes() == (workspace / "two.pnml").read_bytes()
+
+
+_FIRST_LP = "lp/000___start____a.lp"
+
+
+@pytest.mark.parametrize(
+    "log, flag, emitted, golden",
+    [
+        ("l1_prime.log", "--alpha=0.75", "seg.dot", "l1_prime_alpha_0.75.seg.dot"),
+        ("l1_prime.log", "--alpha=0.75", _FIRST_LP, "l1_prime_alpha_0.75_000.lp"),
+        ("l1.log", "--no-filter", _FIRST_LP, "l1_unfiltered_000.lp"),
+    ],
+)
+def test_emitted_seg_and_rows_match_golden_files(
+    workspace, log, flag, emitted, golden
+):
+    # the LP text lists every row's vector and source plus an objective
+    # built from the merged weights, so it pins row order, sources and weights
+    args = [
+        "discover",
+        "--log",
+        str(workspace / log),
+        flag,
+        "--out-pnml",
+        str(workspace / "net.pnml"),
+        "--emit-seg-dot",
+        str(workspace / "seg.dot"),
+        "--emit-lp",
+        str(workspace / "lp"),
+    ]
+    assert main(args) == 0
+    assert (workspace / emitted).read_bytes() == (DATA / golden).read_bytes()

@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from regionminer.petri import (
 )
 from regionminer.regions import RegionCandidate
 
+from .conftest import DATA
 from .util import random_log
 
 
@@ -131,6 +133,28 @@ def test_solver_error_names_the_pair(l1, monkeypatch):
     assert match is not None
     monkeypatch.undo()
     assert match.groups() == min(run_discovery(l1).pair_regions)
+
+
+def test_prefixes_are_encoded_only_by_the_closure_table(l1_prime, monkeypatch):
+    from regionminer import regions
+
+    def refuse(*args):
+        raise AssertionError("prefix encoded outside PrefixClosure.encodings")
+
+    package = [
+        module
+        for name, module in list(sys.modules.items())
+        if name == "regionminer" or name.startswith("regionminer.")
+    ]
+    for module in package:
+        for name in ("sequence_encoding", "parikh"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    result = run_discovery(l1_prime, DiscoveryOptions(alpha=0.75))
+    for region in result.regions:
+        # a filtered region may violate only rows the filter removed
+        ok, source = regions.check_region(region, result.closure)
+        assert ok or result.closure.encodings[source] not in result.retained
+    assert export_pnml(result.net) == (DATA / "l1_prime_alpha_0.75.pnml").read_bytes()
 
 
 def test_debug_log_reports_rows_and_pairs(l1, caplog):

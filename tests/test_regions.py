@@ -226,3 +226,24 @@ def test_lp_text_renders(pc_l1):
     assert text.startswith("minimize")
     assert "x(a) = 1" in text
     assert ">= 1" in text
+
+
+logs_with_counts = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abcd"), max_size=5).map(tuple),
+        st.integers(min_value=1, max_value=9),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(logs_with_counts, st.booleans())
+def test_encoding_table_matches_sequence_encoding(pairs, wrapped):
+    log = EventLog.from_pairs(pairs)
+    pc = prefix_closure(*use_transform(log)) if wrapped else prefix_closure(log)
+    alphabet = pc.ordered_alphabet()
+    table = pc.encodings
+    assert list(table) == sorted(pc.entries, key=lambda t: (len(t), t))
+    for trace, row in table.items():
+        assert row == sequence_encoding(trace, alphabet)
