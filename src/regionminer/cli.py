@@ -158,6 +158,9 @@ def _cmd_sweep(args) -> int:
     # so a bad input is reported on its own and nothing reaches stdout
     if log.is_empty():
         raise ValueError("cannot discover from an empty log")
+    for flag, tokens in (("--alphas", alphas), ("--noise-levels", levels)):
+        if not tokens:
+            raise ValueError(f"{flag} names no value")
     threshold = args.dependency_threshold
     grid = [
         (token, DiscoveryOptions(alpha=float(token), dependency_threshold=threshold))

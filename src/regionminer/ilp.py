@@ -33,8 +33,19 @@ infeasible. Rows enter this way in two cases:
   are violated, so they join in the first round);
 - branching: a branch-and-bound child copies its parent's optimal
   tableau and pending-row mask and adds one bound row, ``v_j <= 0`` or
-  ``v_j >= 1``, so one simplex is built per call and every other node is
-  a warm start.
+  ``v_j >= 1``, so every node is a warm start.
+
+One root per system: the start rows, the pending body and the costs
+depend only on the constraint system and its zero fixings, never on the
+fixings to one, so ``_Compiled`` validates the rows, stacks them and
+builds the root simplex with its primal once per system and set of zero
+fixings, and keeps it on the system (``ConstraintSystem.solver_state``).
+Each pair copies the root, appends its fixings to one to the shared
+pending rows and runs branch-and-bound from the copy; the root itself is
+never changed, and ``Solution.pivots`` counts its primal pivots for
+every pair. ``lp_relax`` shares the same root: its copy is repriced for
+the plain objective (``_Simplex.reprice``) and the primal runs on from
+the root's basis, which is feasible for any cost.
 
 Fixings and bounds are rows and are never substituted, so every node
 keeps all variables and the same cost vector. The primal loop enters the
@@ -100,7 +111,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverError
-from .regions import ILPInstance
+from .regions import ConstraintSystem, ILPInstance
 
 _ROW_BATCH = 24
 # Bound on every tableau entry before an int64 pivot: each product of two
@@ -131,13 +142,13 @@ class LPRelaxation:
     point: tuple[Fraction, ...] | None
 
 
-def _instance_rows(inst: ILPInstance) -> tuple[Rows, Rows]:
-    """All constraint rows over the full variable vector.
+def _system_rows(cs: ConstraintSystem) -> tuple[Rows, Rows]:
+    """All constraint rows of a system over the full variable vector.
 
     Returns (inequalities, equalities); an inequality (coefs, rhs) means
-    coefs . v >= rhs, an equality means coefs . v == rhs.
+    coefs . v >= rhs, an equality means coefs . v == rhs. The minimum-arc
+    row is the last inequality.
     """
-    cs = inst.system
     n = cs.n_vars
     for row in cs.inequality_rows:
         if len(row.vector) != n:
@@ -147,15 +158,19 @@ def _instance_rows(inst: ILPInstance) -> tuple[Rows, Rows]:
             raise SolverError("equality row dimension does not match the alphabet")
     if len(cs.objective) != n:
         raise SolverError("objective dimension does not match the alphabet")
+    inequalities: Rows = [(row.vector, 0) for row in cs.inequality_rows]
+    inequalities.append((cs.min_arc_row(), 1))
+    equalities: Rows = [(row.vector, 0) for row in cs.equality_rows]
+    return inequalities, equalities
+
+
+def _check_fixings(inst: ILPInstance) -> None:
+    n = inst.system.n_vars
     for index, value in inst.fixings.items():
         if not 0 <= index < n:
             raise SolverError(f"fixing index {index} out of range")
         if value not in (0, 1):
             raise SolverError(f"fixing value must be binary, got {value}")
-    inequalities: Rows = [(row.vector, 0) for row in cs.inequality_rows]
-    inequalities.append((cs.min_arc_row(), 1))
-    equalities: Rows = [(row.vector, 0) for row in cs.equality_rows]
-    return inequalities, equalities
 
 
 def _names_pair(func):
@@ -282,6 +297,21 @@ class _Simplex:
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("simplex failed to terminate")
 
+    def reprice(self, costs: Sequence[int]) -> None:
+        """Make ``costs`` the objective and run the primal simplex from the
+        current basis, which stays feasible. Each reduced cost is written
+        in fraction-free form, ``den * costs[j] - sum_i costs[basis_i] *
+        T[i, j]`` over the rows with a structural basic variable (slacks
+        cost zero), as ``add_rows`` writes a row."""
+        n = self.n
+        cost = [self.den * c for c in costs] + [0] * (self.width - 1 - n)
+        for i, var in enumerate(self.basis):
+            if var < n and costs[var]:
+                factor = costs[var]
+                cost = [a - factor * b for a, b in zip(cost, self.tableau[i].tolist())]
+        self.cost = cost
+        self._primal()
+
     def add_rows(self, rows: Rows) -> None:
         """Append rows ``coefs . v >= rhs`` to the optimal tableau.
 
@@ -386,12 +416,30 @@ def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 class _Pending:
     """Rows that enter a relaxation by row generation, deduplicated and
-    stacked once and shared by every node of one call; each node keeps a
-    mask of the rows it has not added yet."""
+    stacked once: a system's body is shared by all its pairs, and a pair's
+    ``extended`` stack by every node of that pair; each node keeps a mask
+    of the rows it has not added yet."""
 
     def __init__(self, rows: Rows, width: int):
         self.rows = list(dict.fromkeys(rows))
+        self.known = set(self.rows)
+        self.width = width
         self.matrix, self.rhs, self.magnitude = _stack(self.rows, width)
+
+    def extended(self, rows: Rows) -> "_Pending":
+        """These rows followed by those of ``rows`` not among them, as a
+        new stack; ``self`` stays as it is."""
+        extra = [row for row in dict.fromkeys(rows) if row not in self.known]
+        if not extra:
+            return self
+        matrix, rhs, magnitude = _stack(extra, self.width)
+        twin = copy.copy(self)
+        twin.rows = self.rows + extra
+        twin.known = self.known.union(extra)
+        twin.matrix = np.vstack([self.matrix, matrix])
+        twin.rhs = np.concatenate([self.rhs, rhs])
+        twin.magnitude = max(self.magnitude, magnitude)
+        return twin
 
     def mask(self) -> np.ndarray:
         """A mask with every row still pending."""
@@ -436,19 +484,60 @@ def _bound_row(index: int, value: int, count: int) -> tuple[tuple[int, ...], int
     return (_unit(index, count, 1), 1) if value else (_unit(index, count, -1), 0)
 
 
-def _lp_rows(inst: ILPInstance, inequalities: Rows) -> tuple[Rows, Rows]:
-    """The start rows of every relaxation of the instance (box rows,
-    presolved equality pairs, zero fixings; all hold at the origin) and
-    the rows that enter by row generation (the inequalities, the fixings
-    to one)."""
-    n = inst.system.n_vars
-    start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
-    for row in inst.system.independent_equality_rows:
-        start.append((row.vector, 0))
-        start.append((tuple(-c for c in row.vector), 0))
+class _Compiled:
+    """A constraint system as the solver sees it under one set of zero
+    fixings: the pending body (inequalities and the minimum-arc row),
+    deduplicated and stacked; the rows ``verify`` reads, stacked; the
+    lexicographic costs; and the root simplex on the start rows (box rows,
+    presolved equality pairs, zero fixings; all hold at the origin) after
+    its primal, with that primal's pivots in ``root.pivots``. ``_prepare``
+    builds it on first use and keeps it on the system; it is never
+    changed afterwards, and every node works on a copy of the root."""
+
+    def __init__(self, cs: ConstraintSystem, zeros: Sequence[int]):
+        n = cs.n_vars
+        inequalities, equalities = _system_rows(cs)
+        # lexicographic product objective; see module docstring
+        self.costs = [
+            c * (1 << n) + (1 << (n - 1 - i)) for i, c in enumerate(cs.objective)
+        ]
+        self.body = _Pending(inequalities, n)
+        # a binary assignment keeps each row value within n * magnitude
+        eq_matrix, eq_rhs, eq_magnitude = _stack(equalities, n)
+        self.checks = (self.body.matrix, self.body.rhs, eq_matrix, eq_rhs)
+        if max(self.body.magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
+            self.checks = tuple(a.astype(object) for a in self.checks)
+        start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
+        for row in cs.independent_equality_rows:
+            start.append((row.vector, 0))
+            start.append((tuple(-c for c in row.vector), 0))
+        start += [_bound_row(i, 0, n) for i in zeros]
+        self.root = _Simplex(start, self.costs)
+
+    def satisfies(self, assignment: Sequence[int]) -> bool:
+        """Whether the assignment satisfies every original row (the
+        presolve does not apply here)."""
+        ineq_matrix, ineq_rhs, eq_matrix, eq_rhs = self.checks
+        vector = np.array(assignment, dtype=ineq_matrix.dtype)
+        return bool((ineq_matrix @ vector >= ineq_rhs).all()) and bool(
+            (eq_matrix @ vector == eq_rhs).all()
+        )
+
+
+def _prepare(inst: ILPInstance) -> tuple[_Compiled, _Pending]:
+    """The compiled system for the instance's zero fixings, built on first
+    use and kept on the system, and the instance's pending rows: the body
+    followed by the fixings to one."""
+    _check_fixings(inst)
+    cs = inst.system
     fixings = sorted(inst.fixings.items())
-    start += [_bound_row(i, 0, n) for i, v in fixings if v == 0]
-    return start, inequalities + [_bound_row(i, 1, n) for i, v in fixings if v == 1]
+    zeros = tuple(i for i, v in fixings if v == 0)
+    compiled = cs.solver_state.get(zeros)
+    if compiled is None:
+        # stored only once built, so a failed build leaves nothing behind
+        compiled = cs.solver_state[zeros] = _Compiled(cs, zeros)
+    ones = [_bound_row(i, 1, cs.n_vars) for i, v in fixings if v == 1]
+    return compiled, compiled.body.extended(ones)
 
 
 def _solve_lp(
@@ -456,7 +545,8 @@ def _solve_lp(
 ) -> tuple[str, list[Fraction]]:
     """Exact minimum of ``costs . v`` over ``start + rows``, v >= 0: one
     simplex on the start rows, which must hold at the origin, and the
-    other rows by row generation."""
+    other rows by row generation. The entry for LPs that are not a
+    constraint system."""
     pending = _Pending(rows, len(costs))
     status, point = pending.optimum(_Simplex(start, costs), pending.mask())
     num, den = point or ([], 1)
@@ -468,15 +558,21 @@ def lp_relax(inst: ILPInstance) -> LPRelaxation:
     """Continuous relaxation: variables in [0, 1], fixings as rows.
 
     The value is an exact rational lower bound on the binary optimum; it
-    cannot be unbounded because every variable is boxed.
+    cannot be unbounded because every variable is boxed. A copy of the
+    root is repriced for the plain objective.
     """
-    inequalities, _ = _instance_rows(inst)
+    compiled, pending = _prepare(inst)
     costs = inst.system.objective
-    status, point = _solve_lp(*_lp_rows(inst, inequalities), costs)
+    simplex = compiled.root.copy()
+    simplex.reprice(costs)
+    status, point = pending.optimum(simplex, pending.mask())
     if status != "optimal":
         return LPRelaxation(status="infeasible", value=None, point=None)
-    value = sum(c * p for c, p in zip(costs, point))
-    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
+    num, den = point
+    value = Fraction(sum(c * v for c, v in zip(costs, num)), den)
+    return LPRelaxation(
+        status="optimal", value=value, point=tuple(Fraction(v, den) for v in num)
+    )
 
 
 @_names_pair
@@ -490,33 +586,19 @@ def solve(inst: ILPInstance) -> Solution:
     """
     cs = inst.system
     n = cs.n_vars
-    inequalities, equalities = _instance_rows(inst)
+    compiled, pending = _prepare(inst)
+    costs = compiled.costs
     fixed = dict(inst.fixings)
-
-    # lexicographic product objective; see module docstring
-    costs = [c * (1 << n) + (1 << (n - 1 - i)) for i, c in enumerate(cs.objective)]
 
     def combined_value(assignment: Sequence[int]) -> int:
         return sum(c * v for c, v in zip(costs, assignment))
-
-    # every original row, not only the presolved equalities, stacked once;
-    # a binary assignment keeps each row value within n * magnitude
-    ineq_matrix, ineq_rhs, ineq_magnitude = _stack(inequalities, n)
-    eq_matrix, eq_rhs, eq_magnitude = _stack(equalities, n)
-    if max(ineq_magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
-        ineq_matrix, ineq_rhs, eq_matrix, eq_rhs = (
-            a.astype(object) for a in (ineq_matrix, ineq_rhs, eq_matrix, eq_rhs)
-        )
 
     def verify(assignment: Sequence[int]) -> bool:
         if any(assignment[i] != v for i, v in fixed.items()):
             return False
         if any(v not in (0, 1) for v in assignment):
             return False
-        vector = np.array(assignment, dtype=ineq_matrix.dtype)
-        return bool((ineq_matrix @ vector >= ineq_rhs).all()) and bool(
-            (eq_matrix @ vector == eq_rhs).all()
-        )
+        return compiled.satisfies(assignment)
 
     best_assignment: list[int] | None = None
     best_combined: int | None = None
@@ -527,19 +609,18 @@ def solve(inst: ILPInstance) -> Solution:
                 best_combined = value
                 best_assignment = list(seed)
 
-    start, rows = _lp_rows(inst, inequalities)
-    pending = _Pending(rows, n)
-    nodes = pivots = 0
-    # each entry: the parent's solved simplex and pending mask, plus the
-    # branching row the child adds (None for the root)
+    nodes = 0
+    pivots = compiled.root.pivots
+    # each entry: the parent's solved simplex (the root's for the root) and
+    # pending mask, plus the branching row the child adds (None for the root)
     stack: list[tuple[_Simplex, np.ndarray, tuple | None]] = [
-        (_Simplex(start, costs), pending.mask(), None)
+        (compiled.root, pending.mask(), None)
     ]
     while stack:
         simplex, live, branch_row = stack.pop()
         nodes += 1
+        simplex, live = simplex.copy(), live.copy()
         if branch_row is not None:
-            simplex, live = simplex.copy(), live.copy()
             simplex.add_rows([branch_row])
         status, point = pending.optimum(simplex, live)
         pivots += simplex.pivots
@@ -586,7 +667,8 @@ def brute_force(inst: ILPInstance) -> Solution:
     n = cs.n_vars
     if n > 25:
         raise SolverError(f"enumeration budget exceeded: {n} variables > 25")
-    inequalities, equalities = _instance_rows(inst)
+    _check_fixings(inst)
+    inequalities, equalities = _system_rows(cs)
     fixed = dict(inst.fixings)
     free = [i for i in range(n) if i not in fixed]
     depth = len(free)

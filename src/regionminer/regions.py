@@ -134,6 +134,13 @@ class ConstraintSystem:
             for i in _independent_rows([row.vector for row in self.equality_rows])
         )
 
+    @cached_property
+    def solver_state(self) -> dict:
+        """What the solver (``ilp``) compiles from this system, under keys
+        the solver chooses; empty until the first solve, then shared by
+        every pair solved on this system object."""
+        return {}
+
     def variable_names(self) -> tuple[str, ...]:
         return (
             ("m",)

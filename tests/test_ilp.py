@@ -564,21 +564,30 @@ def test_dual_simplex_reports_infeasible_nodes_and_lps():
     assert warm.status == "infeasible" and outcomes[-1] == "infeasible"
 
 
+def _causal_instances(cs):
+    """The causal instance of every pair that may seed a place."""
+    start, end = cs.alphabet[0], cs.alphabet[-1]
+    return [
+        instantiate_causal_ilp(cs, a, b)
+        for a in cs.alphabet
+        if a != end
+        for b in cs.alphabet
+        if b != start
+    ]
+
+
 def test_row_generated_node_builds_one_simplex(l1):
-    # one _Simplex per solve or lp_relax call; every other node adds rows
-    # to a copy of its parent's
+    # one _Simplex per system and set of zero fixings, across every pair
+    # and both entry points; every node, the root included, works on a
+    # copy, and only copies pivot or take rows after the root's primal
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))
     branching = random_instance(random.Random(0))
-    built, copies, added = [], [], []
-    init, copy, add_rows = (
-        ilp._Simplex.__init__,
-        ilp._Simplex.copy,
-        ilp._Simplex.add_rows,
-    )
+    roots, copies, touched = [], [], []
+    init, copy = ilp._Simplex.__init__, ilp._Simplex.copy
 
     def counting_init(self, rows, costs):
-        built.append(len(rows))
+        roots.append(self)
         init(self, rows, costs)
 
     def counting_copy(self):
@@ -586,27 +595,85 @@ def test_row_generated_node_builds_one_simplex(l1):
         copies.append(twin)
         return twin
 
-    def counting_add_rows(self, rows):
-        added.append((self, len(rows)))
-        add_rows(self, rows)
+    def touching(method):
+        def spy(self, *args):
+            touched.append(self)
+            return method(self, *args)
+
+        return spy
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "__init__", counting_init)
         patch.setattr(ilp._Simplex, "copy", counting_copy)
-        patch.setattr(ilp._Simplex, "add_rows", counting_add_rows)
-        patch.setattr(ilp, "_ROW_BATCH", 1)
-        for inst in (instantiate_causal_ilp(cs, "a", "b"), branching):
+        for name in ("reprice", "add_rows", "reoptimise"):
+            patch.setattr(ilp._Simplex, name, touching(getattr(ilp._Simplex, name)))
+        for inst in _causal_instances(cs) + [branching]:
             for call in (lp_relax, solve):
-                for seen in (built, copies, added):
-                    seen.clear()
+                before = len(copies)
                 result = call(inst)
-                assert result.status == "optimal"
-                nodes = result.nodes if call is solve else 1
-                assert len(built) == 1
-                assert len(copies) == nodes - 1
-                assert all(any(s is twin for s, _ in added) for twin in copies)
-                assert len(added) > 1 and {count for _, count in added} == {1}
+                assert len(copies) - before == (result.nodes if call is solve else 1)
+    assert len(roots) == 2  # cs and branching.system, zero fixings {m}
+    assert touched and {id(s) for s in touched} <= {id(s) for s in copies}
     assert solve(branching).nodes > 1
+    assert [list(s.solver_state) for s in (cs, branching.system)] == [[(0,)], [(0,)]]
+
+
+def _fresh_result(call, inst):
+    """The call on a copy of the instance's system with nothing compiled."""
+    return call(replace(inst, system=replace(inst.system)))
+
+
+def _work(result):
+    if isinstance(result, ilp.LPRelaxation):
+        return result
+    return result, result.nodes, result.pivots
+
+
+def test_shared_root_does_not_leak_between_pairs(l1, l1_prime):
+    systems = []
+    for log in (l1, l1_prime):
+        use, start, end = use_transform(log)
+        systems.append(build_constraint_system(prefix_closure(use, start, end)))
+    # signed objectives make the root's primal pivot
+    rng = random.Random(213)
+    signed = random_instance(rng).system
+    objective = tuple(rng.randint(-9, 9) for _ in signed.objective)
+    signed = replace(signed, objective=objective)
+    systems.append(signed)
+    calls = [
+        (call, inst)
+        for cs in systems
+        for inst in _causal_instances(cs)
+        for call in (solve, lp_relax)
+    ]
+    # the l1 system under two more sets of zero fixings
+    cs = systems[0]
+    a, b = cs.x_index("a"), cs.y_index("b")
+    for fixings in ({a: 1, b: 1}, {0: 0, a: 1, b: 0, cs.y_index("c"): 1}):
+        inst = ILPInstance(system=cs, fixings=fixings)
+        calls += [(solve, inst), (lp_relax, inst)]
+    random.Random(7).shuffle(calls)
+    for call, inst in calls:
+        assert _work(call(inst)) == _work(_fresh_result(call, inst)), (call, inst)
+    assert signed.solver_state[(0,)].root.pivots > 0
+    assert sorted(cs.solver_state) == [(), (0,), (0, b)]
+
+
+def test_failed_compile_leaves_nothing_cached(l1):
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    inst = instantiate_causal_ilp(cs, "a", "b")
+
+    def stuck(self):
+        raise SolverError("simplex failed to terminate")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "_primal", stuck)
+        with pytest.raises(SolverError, match=r"^pair \(a, b\): simplex failed"):
+            solve(inst)
+    assert cs.solver_state == {}
+    assert _work(solve(inst)) == _work(_fresh_result(solve, inst))
+    assert list(cs.solver_state) == [(0,)]
 
 
 def test_dual_simplex_that_cannot_finish_names_the_pair(l1):
