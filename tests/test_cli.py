@@ -270,8 +270,6 @@ _NAMELESS_EVENT_XES = (
         (["sweep", "--alphas", "0.75,2", "--noise-levels", "0"], "l1.log", None),
         (["sweep", "--alphas", "0.75", "--noise-levels", "0,2"], "l1.log", None),
         (["sweep", "--alphas", "0.75", "--noise-levels", "-0.5"], "l1.log", None),
-        (["sweep", "--alphas", ",", "--noise-levels", "0"], "l1.log", None),
-        (["sweep", "--alphas", "0.75", "--noise-levels", ","], "l1.log", None),
         (["discover", "--out-pnml", "{out}"], "latin1.log", b"a \xe9 b\n"),
         (["discover", "--xes", "--out-pnml", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
         (["convert", "--out", "{out}"], "x.xes", _NAMELESS_EVENT_XES),
@@ -281,6 +279,8 @@ _NAMELESS_EVENT_XES = (
             "empty.log",
             b"# only a comment\n",
         ),
+        (["sweep", "--alphas", ",", "--noise-levels", "0"], "l1.log", None),
+        (["sweep", "--alphas", "0.75", "--noise-levels", ","], "l1.log", None),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
