@@ -43,9 +43,9 @@ fixings, and keeps it on the system (``ConstraintSystem.solver_state``).
 Each pair copies the root, appends its fixings to one to the shared
 pending rows and runs branch-and-bound from the copy; the root itself is
 never changed, and ``Solution.pivots`` counts its primal pivots for
-every pair. ``lp_relax`` shares the same root: its copy is repriced for
-the plain objective (``_Simplex.reprice``) and the primal runs on from
-the root's basis, which is feasible for any cost.
+every pair. ``lp_relax`` minimises the plain objective, not the
+lexicographic one, so it builds one simplex of its own on the system's
+shared start rows and pending rows.
 
 Fixings and bounds are rows and are never substituted, so every node
 keeps all variables and the same cost vector. The primal loop enters the
@@ -297,21 +297,6 @@ class _Simplex:
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("simplex failed to terminate")
 
-    def reprice(self, costs: Sequence[int]) -> None:
-        """Make ``costs`` the objective and run the primal simplex from the
-        current basis, which stays feasible. Each reduced cost is written
-        in fraction-free form, ``den * costs[j] - sum_i costs[basis_i] *
-        T[i, j]`` over the rows with a structural basic variable (slacks
-        cost zero), as ``add_rows`` writes a row."""
-        n = self.n
-        cost = [self.den * c for c in costs] + [0] * (self.width - 1 - n)
-        for i, var in enumerate(self.basis):
-            if var < n and costs[var]:
-                factor = costs[var]
-                cost = [a - factor * b for a, b in zip(cost, self.tableau[i].tolist())]
-        self.cost = cost
-        self._primal()
-
     def add_rows(self, rows: Rows) -> None:
         """Append rows ``coefs . v >= rhs`` to the optimal tableau.
 
@@ -484,13 +469,24 @@ def _bound_row(index: int, value: int, count: int) -> tuple[tuple[int, ...], int
     return (_unit(index, count, 1), 1) if value else (_unit(index, count, -1), 0)
 
 
+def _start_rows(cs: ConstraintSystem, zeros: Sequence[int]) -> Rows:
+    """The start rows of every relaxation of the system under these zero
+    fixings: box rows, presolved equality pairs, zero fixings; all hold
+    at the origin."""
+    n = cs.n_vars
+    start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
+    for row in cs.independent_equality_rows:
+        start.append((row.vector, 0))
+        start.append((tuple(-c for c in row.vector), 0))
+    return start + [_bound_row(i, 0, n) for i in zeros]
+
+
 class _Compiled:
     """A constraint system as the solver sees it under one set of zero
     fixings: the pending body (inequalities and the minimum-arc row),
     deduplicated and stacked; the rows ``verify`` reads, stacked; the
-    lexicographic costs; and the root simplex on the start rows (box rows,
-    presolved equality pairs, zero fixings; all hold at the origin) after
-    its primal, with that primal's pivots in ``root.pivots``. ``_prepare``
+    lexicographic costs; and the root simplex on the start rows after its
+    primal, with that primal's pivots in ``root.pivots``. ``_prepare``
     builds it on first use and keeps it on the system; it is never
     changed afterwards, and every node works on a copy of the root."""
 
@@ -507,12 +503,8 @@ class _Compiled:
         self.checks = (self.body.matrix, self.body.rhs, eq_matrix, eq_rhs)
         if max(self.body.magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
             self.checks = tuple(a.astype(object) for a in self.checks)
-        start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
-        for row in cs.independent_equality_rows:
-            start.append((row.vector, 0))
-            start.append((tuple(-c for c in row.vector), 0))
-        start += [_bound_row(i, 0, n) for i in zeros]
-        self.root = _Simplex(start, self.costs)
+        self.zeros = zeros
+        self.root = _Simplex(_start_rows(cs, zeros), self.costs)
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the
@@ -545,8 +537,7 @@ def _solve_lp(
 ) -> tuple[str, list[Fraction]]:
     """Exact minimum of ``costs . v`` over ``start + rows``, v >= 0: one
     simplex on the start rows, which must hold at the origin, and the
-    other rows by row generation. The entry for LPs that are not a
-    constraint system."""
+    other rows by row generation."""
     pending = _Pending(rows, len(costs))
     status, point = pending.optimum(_Simplex(start, costs), pending.mask())
     num, den = point or ([], 1)
@@ -558,21 +549,16 @@ def lp_relax(inst: ILPInstance) -> LPRelaxation:
     """Continuous relaxation: variables in [0, 1], fixings as rows.
 
     The value is an exact rational lower bound on the binary optimum; it
-    cannot be unbounded because every variable is boxed. A copy of the
-    root is repriced for the plain objective.
+    cannot be unbounded because every variable is boxed.
     """
     compiled, pending = _prepare(inst)
     costs = inst.system.objective
-    simplex = compiled.root.copy()
-    simplex.reprice(costs)
-    status, point = pending.optimum(simplex, pending.mask())
+    start = _start_rows(inst.system, compiled.zeros)
+    status, point = _solve_lp(start, pending.rows, costs)
     if status != "optimal":
         return LPRelaxation(status="infeasible", value=None, point=None)
-    num, den = point
-    value = Fraction(sum(c * v for c, v in zip(costs, num)), den)
-    return LPRelaxation(
-        status="optimal", value=value, point=tuple(Fraction(v, den) for v in num)
-    )
+    value = sum(c * p for c, p in zip(costs, point))
+    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
 
 
 @_names_pair

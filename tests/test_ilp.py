@@ -577,17 +577,24 @@ def _causal_instances(cs):
 
 
 def test_row_generated_node_builds_one_simplex(l1):
-    # one _Simplex per system and set of zero fixings, across every pair
-    # and both entry points; every node, the root included, works on a
-    # copy, and only copies pivot or take rows after the root's primal
+    # solve builds one _Simplex per system and set of zero fixings, across
+    # every pair; every solve node, the root included, works on a copy,
+    # and only copies take rows or re-optimise. lp_relax builds one
+    # simplex of its own per call, for the plain objective.
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))
     branching = random_instance(random.Random(0))
-    roots, copies, touched = [], [], []
-    init, copy = ilp._Simplex.__init__, ilp._Simplex.copy
+    pinned = (instantiate_causal_ilp(cs, "a", "b"), branching)
+    built, copies, added, reoptimised = [], [], [], []
+    init, copy, add_rows, reoptimise = (
+        ilp._Simplex.__init__,
+        ilp._Simplex.copy,
+        ilp._Simplex.add_rows,
+        ilp._Simplex.reoptimise,
+    )
 
     def counting_init(self, rows, costs):
-        roots.append(self)
+        built.append(self)
         init(self, rows, costs)
 
     def counting_copy(self):
@@ -595,25 +602,42 @@ def test_row_generated_node_builds_one_simplex(l1):
         copies.append(twin)
         return twin
 
-    def touching(method):
-        def spy(self, *args):
-            touched.append(self)
-            return method(self, *args)
+    def counting_add_rows(self, rows):
+        added.append((self, len(rows)))
+        add_rows(self, rows)
 
-        return spy
+    def counting_reoptimise(self):
+        reoptimised.append(self)
+        return reoptimise(self)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "__init__", counting_init)
         patch.setattr(ilp._Simplex, "copy", counting_copy)
-        for name in ("reprice", "add_rows", "reoptimise"):
-            patch.setattr(ilp._Simplex, name, touching(getattr(ilp._Simplex, name)))
-        for inst in _causal_instances(cs) + [branching]:
+        patch.setattr(ilp._Simplex, "add_rows", counting_add_rows)
+        patch.setattr(ilp._Simplex, "reoptimise", counting_reoptimise)
+        patch.setattr(ilp, "_ROW_BATCH", 1)
+        relaxations = 0
+        for inst in _causal_instances(cs) + list(pinned):
             for call in (lp_relax, solve):
-                before = len(copies)
+                for seen in (copies, added, reoptimised):
+                    seen.clear()
+                before = len(built)
                 result = call(inst)
-                assert len(copies) - before == (result.nodes if call is solve else 1)
-    assert len(roots) == 2  # cs and branching.system, zero fixings {m}
-    assert touched and {id(s) for s in touched} <= {id(s) for s in copies}
+                if call is solve:
+                    assert len(built) == before
+                    assert len(copies) == result.nodes
+                    ids = {id(twin) for twin in copies}
+                    assert {id(s) for s, _ in added} <= ids
+                    assert {id(s) for s in reoptimised} <= ids
+                    assert all(any(s is twin for s, _ in added) for twin in copies)
+                else:
+                    relaxations += 1
+                    assert not copies
+                if any(inst is p for p in pinned):
+                    assert result.status == "optimal"
+                    assert len(added) > 1 and {count for _, count in added} == {1}
+    # one root each for cs and branching.system, zero fixings {m}
+    assert len(built) == relaxations + 2
     assert solve(branching).nodes > 1
     assert [list(s.solver_state) for s in (cs, branching.system)] == [[(0,)], [(0,)]]
 
