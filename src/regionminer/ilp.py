@@ -9,49 +9,47 @@ relaxation. Every relaxation is solved by one dense simplex over all
 variables using fraction-free integer pivoting, which is exact rational
 arithmetic with the denominators cleared, so no tolerance enters anywhere.
 
-One tableau, rows added to it: a simplex starts from rows that hold at
-the origin, so their slacks form a feasible basis and no phase 1 or
-artificial column is needed. Those start rows are the box rows
-``v_i <= 1``, the presolved equality pairs (below) and ``v_i <= 0`` for
-each variable fixed to zero. A primal simplex runs from that slack basis;
-on discovery instances it takes no pivot, because every objective
-coefficient is positive. Every other row is written into the optimal
-tableau by ``_Simplex.add_rows``, each with a fresh basic slack, which
-keeps every reduced cost non-negative, and a dual simplex
-(``_Simplex.reoptimise``) restores a non-negative right-hand side: the
-leaving row has the most negative rhs (ties: lower basis index), the
-entering column is the ``j`` with a negative entry in that row minimising
-``cost[j] / -T[row, j]`` (compared by cross-multiplying; ties: lower
-column index), and a row without such a column proves the relaxation
-infeasible. Rows enter this way in two cases:
-
-- row generation: the minimum-arc row, the rows fixing variables to one
-  and the body's inequality rows wait in a pending set; after each
-  optimum the most violated of them, up to ``_ROW_BATCH`` per round, are
-  added, until the optimum satisfies every row and so is the optimum of
-  the full body (at the origin only the fixings and the minimum-arc row
-  are violated, so they join in the first round);
-- branching: a branch-and-bound child copies its parent's optimal
-  tableau and pending-row mask and adds one bound row, ``v_j <= 0`` or
-  ``v_j >= 1``, so every node is a warm start.
+Bounds, not rows: every variable keeps ``0 <= v <= 1`` as a bound, so a
+nonbasic variable sits at one of its two bounds, and a fixing or a
+branch-and-bound bound is a bound change that sets both bounds to one
+value. Only constraint rows live in the tableau, each with a slack
+``>= 0``. A simplex starts from the slack basis with every variable of
+negative cost at its upper bound and every other one at zero, which is
+dual feasible: a nonbasic reduced cost is non-negative at a lower bound
+and non-positive at an upper one, and a fixed variable needs no sign. A
+fixing keeps that, so the one pivot loop is a bounded dual simplex
+(``_Simplex.reoptimise``) that brings every basic value within its
+bounds. Its leaving row has the basic variable furthest outside its
+bounds (ties: lower basis index); that variable leaves at the bound it
+broke. The entering column is a nonbasic, non-fixed ``j`` whose move
+away from its bound takes the leaving variable toward that bound,
+minimising ``|cost[j] / T[row, j]|`` (compared by cross-multiplying;
+ties: lower column index), and a row without such a column proves the
+relaxation infeasible. The start rows are the presolved equality pairs
+(below); every other row is written into the optimal tableau by
+``_Simplex.add_rows``, each with a fresh basic slack, which keeps the
+reduced costs as they are, and the dual simplex runs again. Rows enter
+this way by row generation: the minimum-arc row and the body's
+inequality rows wait in a pending set; after each optimum the most
+violated of them, up to ``_ROW_BATCH`` per round, are added, until the
+optimum satisfies every row and so is the optimum of the full body.
 
 One root per system: the start rows, the pending body and the costs
-depend only on the constraint system and its zero fixings, never on the
-fixings to one, so ``_Compiled`` validates the rows, stacks them and
-builds the root simplex with its primal once per system and set of zero
-fixings, and keeps it on the system (``ConstraintSystem.solver_state``).
-Each pair copies the root, appends its fixings to one to the shared
-pending rows and runs branch-and-bound from the copy; the root itself is
-never changed, and ``Solution.pivots`` counts its primal pivots for
-every pair. ``lp_relax`` minimises the plain objective, not the
-lexicographic one, so it builds one simplex of its own on the system's
-shared start rows and pending rows.
+depend only on the constraint system, never on the fixings, so
+``_Compiled`` validates the rows, stacks them and builds the root
+simplex once per system, and keeps it on the system
+(``ConstraintSystem.solver_state``). Each pair copies the root and
+fixes ``m = 0``, ``x_a = 1`` and ``y_b = 1`` on the copy; a
+branch-and-bound child copies its parent's optimal tableau and
+pending-row mask and fixes the branching variable, so every node is a
+warm start. The root itself is never changed, and ``Solution.pivots``
+sums the dual pivots of every node. ``lp_relax`` minimises the plain
+objective, not the lexicographic one, so it builds one simplex of its
+own on the same start rows and pending rows.
 
-Fixings and bounds are rows and are never substituted, so every node
-keeps all variables and the same cost vector. The primal loop enters the
-column with the most negative reduced cost (ties: lower column index)
-and its ratio test breaks ties on the lower basis index. Both loops fall
-back to Bland's rule after ``bland_after`` pivots and raise
+Bounds are never substituted, so every node keeps all variables and the
+same cost vector. The dual loop falls back to Bland's rule (the lowest
+basis index leaves) after ``bland_after`` pivots and raises
 ``SolverError`` after ``_PIVOT_LIMIT`` pivots.
 
 Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
@@ -67,15 +65,18 @@ input is solved exactly. A start row that does not fit ``int64`` builds
 the tableau as ``object`` from the beginning. Added rows are built in
 ``int64`` only while ``max(den, |T|)`` times a row's absolute
 coefficient sum stays below 2**62, and otherwise turn the tableau into
-``object`` the same way. The pending rows' slacks and the re-verification
-of an optimum are matrix products, in ``int64`` when a bound on every
-partial sum allows it and in Python ints otherwise. The cost row stays a
-list of Python ints, because the lexicographic objective below scales it
-by 2**n. The pivot rules see the same integers either way, so the pivot
-sequence does not depend on the representation.
+``object`` the same way. The last tableau column is the right-hand side
+with every nonbasic variable at zero; the basic values subtract the
+columns of the variables that sit away from zero, which is where a bound
+change shows, and that product, the pending rows' slacks and the
+re-verification of an optimum are matrix products, in ``int64`` when a
+bound on every partial sum allows it and in Python ints otherwise. The
+cost row stays a list of Python ints, because the lexicographic
+objective below scales it by 2**n. The pivot rules see the same integers
+either way, so the pivot sequence does not depend on the representation.
 
-LP points: every value is ``rhs_i / den`` over the one tableau
-denominator, so an LP point is its integer numerators with ``den``.
+LP points: every value is an integer numerator over the one tableau
+denominator ``den``, so an LP point is its numerators with ``den``.
 Row slacks (times ``den``), the node bound, integrality (``den`` divides
 the numerator) and the branching choice are all read from those
 integers; ``Fraction`` appears only in the public ``LPRelaxation``.
@@ -117,7 +118,7 @@ _ROW_BATCH = 24
 # Bound on every tableau entry before an int64 pivot: each product of two
 # entries then stays below 2**62 and each difference of two below 2**63.
 _INT64_SAFE = 1 << 31
-# pivots one primal simplex or one dual re-optimisation may take
+# pivots one dual re-optimisation may take
 _PIVOT_LIMIT = 100000
 
 Rows = list[tuple[tuple[int, ...], int]]
@@ -132,7 +133,7 @@ class Solution:
     objective: int | None
     # work counters: they describe the search, not the optimum
     nodes: int = field(default=0, compare=False)  # branch-and-bound nodes
-    pivots: int = field(default=0, compare=False)  # simplex pivots
+    pivots: int = field(default=0, compare=False)  # dual pivots over all nodes
 
 
 @dataclass(frozen=True)
@@ -190,20 +191,20 @@ def _names_pair(func):
 
 
 class _Simplex:
-    """Dense simplex over the rationals, fraction-free, always optimal.
+    """Dense bounded dual simplex over the rationals, fraction-free.
 
-    Constraints are ``coefs . v >= rhs`` with v >= 0. The tableau holds
+    Constraints are ``coefs . v >= rhs`` with ``lower <= v <= upper`` per
+    variable, initially 0 and a finite upper bound. The tableau holds
     integers with one shared positive denominator (the previous pivot);
-    a negative pivot (dual simplex) is followed by a global sign flip, so
-    the denominator stays positive. Construction takes start rows, which
-    must hold at the origin, and runs the primal simplex from their slack
-    basis; ``add_rows`` and ``reoptimise`` then bring in every other row
-    (see the module docstring).
+    a negative pivot is followed by a global sign flip, so the
+    denominator stays positive. Its last column is the right-hand side
+    with every nonbasic variable at zero; ``raised`` maps each nonbasic
+    variable away from zero to its value. Construction builds the slack
+    basis on the start rows without pivoting; ``fix``, ``add_rows`` and
+    ``reoptimise`` do the rest (see the module docstring).
     """
 
-    def __init__(self, rows: Rows, costs: Sequence[int]):
-        if any(rhs > 0 for _, rhs in rows):
-            raise SolverError("a start row does not hold at the origin")
+    def __init__(self, rows: Rows, costs: Sequence[int], upper: Sequence[int]):
         n, m = len(costs), len(rows)
         self.n = n
         self.den = 1
@@ -218,7 +219,10 @@ class _Simplex:
         self.basis = list(range(n, n + m))
         # reduced cost of each column (the initial basics all cost zero)
         self.cost = list(costs) + [0] * m
-        self._primal()
+        self.lower = [0] * n
+        self.upper = list(upper)
+        # dual feasible: each variable of negative cost sits at its upper bound
+        self.raised = {j: upper[j] for j, c in enumerate(costs) if c < 0 and upper[j]}
 
     def copy(self) -> "_Simplex":
         """An independent copy of the tableau with its pivot count at 0."""
@@ -226,8 +230,21 @@ class _Simplex:
         twin.tableau = self.tableau.copy()
         twin.basis = list(self.basis)
         twin.cost = list(self.cost)
+        twin.lower = list(self.lower)
+        twin.upper = list(self.upper)
+        twin.raised = dict(self.raised)
         twin.pivots = 0
         return twin
+
+    def fix(self, index: int, value: int) -> None:
+        """Set both bounds of variable ``index`` to ``value``. A nonbasic
+        variable moves there; a basic one outside it leaves the basis in
+        the next ``reoptimise``. A fixed variable needs no reduced-cost
+        sign, so the tableau stays dual feasible."""
+        self.lower[index] = self.upper[index] = value
+        self.raised.pop(index, None)
+        if value and index not in self.basis:
+            self.raised[index] = value
 
     def _pivot(self, row: int, col: int) -> None:
         tableau = self.tableau
@@ -258,44 +275,6 @@ class _Simplex:
             self.den = -self.den
             np.negative(self.tableau, out=self.tableau)
             self.cost = [-a for a in self.cost]
-
-    def _ratio_row(self, col: int) -> int | None:
-        best: int | None = None
-        best_rhs = best_coef = 0
-        rhs_column = self.tableau[:, -1].tolist()
-        for i, coef in enumerate(self.tableau[:, col].tolist()):
-            if coef <= 0:
-                continue
-            rhs = rhs_column[i]
-            if best is None:
-                best, best_rhs, best_coef = i, rhs, coef
-                continue
-            left = rhs * best_coef
-            right = best_rhs * coef
-            if left < right or (left == right and self.basis[i] < self.basis[best]):
-                best, best_rhs, best_coef = i, rhs, coef
-        return best
-
-    def _primal(self) -> None:
-        """Primal simplex: pivots until no reduced cost is negative."""
-        pivots = 0
-        bland_after = 200 + 40 * len(self.tableau)
-        while True:
-            cost = self.cost
-            negative = [j for j in range(self.width - 1) if cost[j] < 0]
-            if not negative:
-                return
-            if pivots <= bland_after:
-                entering = min(negative, key=cost.__getitem__)
-            else:  # Bland's rule, guarantees termination under degeneracy
-                entering = negative[0]
-            row = self._ratio_row(entering)
-            if row is None:
-                raise SolverError("relaxation unbounded; box rows missing")
-            self._pivot(row, entering)
-            pivots += 1
-            if pivots > _PIVOT_LIMIT:
-                raise SolverError("simplex failed to terminate")
 
     def add_rows(self, rows: Rows) -> None:
         """Append rows ``coefs . v >= rhs`` to the optimal tableau.
@@ -328,49 +307,82 @@ class _Simplex:
         self.width += count
         self.cost += [0] * count
 
+    def _basic_values(self) -> list[int]:
+        """``den`` times the value of each basic variable: the rhs column
+        less the raised columns times their values."""
+        if not self.raised:
+            return self.tableau[:, -1].tolist()
+        block = self.tableau[:, list(self.raised) + [-1]]
+        weights = [-v for v in self.raised.values()] + [1]
+        bound = max(_magnitude(block), 1) * sum(map(abs, weights))
+        if block.dtype != object and bound >= 1 << 63:
+            block = block.astype(object)
+        return (block @ np.array(weights, dtype=block.dtype)).tolist()
+
     def reoptimise(self) -> tuple[str, Point | None]:
-        """Dual simplex after ``add_rows``: the reduced costs stay
-        non-negative while pivots restore a non-negative rhs."""
-        basis = self.basis
+        """Bounded dual simplex: the reduced costs stay dual feasible while
+        pivots bring every basic value within its bounds."""
+        n, basis, lower, upper = self.n, self.basis, self.lower, self.upper
         pivots = 0
         bland_after = 200 + 40 * len(self.tableau)
         while True:
-            rhs = self.tableau[:, -1].tolist()
-            row = None
-            for i, value in enumerate(rhs):
-                if value >= 0:
+            values = self._basic_values()
+            den = self.den
+            row, gap, target = None, 0, 0
+            for i, (var, value) in enumerate(zip(basis, values)):
+                low, high = (lower[var], upper[var]) if var < n else (0, None)
+                if value < low * den:
+                    miss, bound = low * den - value, low
+                elif high is not None and value > high * den:
+                    miss, bound = value - high * den, high
+                else:
                     continue
                 if row is None or (
-                    basis[i] < basis[row]
-                    if pivots > bland_after  # Bland's rule, as in _primal
-                    else value < rhs[row] or (value == rhs[row] and basis[i] < basis[row])
+                    var < basis[row]
+                    if pivots > bland_after  # Bland's rule, guarantees termination
+                    else miss > gap or (miss == gap and var < basis[row])
                 ):
-                    row = i
+                    row, gap, target = i, miss, bound
             if row is None:
-                return "optimal", self._values()
+                return "optimal", self._point(values)
+            leaving, falls = basis[row], values[row] > target * den
             line = self.tableau[row].tolist()
             cost = self.cost
             entering = None
             for j in range(self.width - 1):
                 coef = line[j]
-                # smallest cost[j] / -coef, compared by cross-multiplying
-                if coef < 0 and (
-                    entering is None or cost[j] * -line[entering] < cost[entering] * -coef
+                if not coef or j == leaving:
+                    continue
+                at_upper = False
+                if j < n:
+                    if lower[j] == upper[j]:
+                        continue  # a fixed variable never enters
+                    at_upper = self.raised.get(j, 0) == upper[j]
+                # moving j off its bound must move the leaving variable to target
+                if (coef > 0) != (falls != at_upper):
+                    continue
+                # smallest |cost[j] / coef|, compared by cross-multiplying
+                if entering is None or abs(cost[j] * line[entering]) < abs(
+                    cost[entering] * coef
                 ):
                     entering = j
             if entering is None:
                 return "infeasible", None
             self._pivot(row, entering)
+            self.raised.pop(entering, None)
+            if leaving < n and target:
+                self.raised[leaving] = target
             pivots += 1
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("dual simplex failed to terminate")
 
-    def _values(self) -> Point:
-        rhs = self.tableau[:, -1].tolist()
+    def _point(self, values: list[int]) -> Point:
         num = [0] * self.n
-        for i, var in enumerate(self.basis):
+        for var, value in zip(self.basis, values):
             if var < self.n:
-                num[var] = rhs[i]
+                num[var] = value
+        for var, value in self.raised.items():
+            num[var] = value * self.den
         return num, self.den
 
 
@@ -401,30 +413,12 @@ def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 class _Pending:
     """Rows that enter a relaxation by row generation, deduplicated and
-    stacked once: a system's body is shared by all its pairs, and a pair's
-    ``extended`` stack by every node of that pair; each node keeps a mask
-    of the rows it has not added yet."""
+    stacked once: a system's body is shared by all its pairs and nodes;
+    each node keeps a mask of the rows it has not added yet."""
 
     def __init__(self, rows: Rows, width: int):
         self.rows = list(dict.fromkeys(rows))
-        self.known = set(self.rows)
-        self.width = width
         self.matrix, self.rhs, self.magnitude = _stack(self.rows, width)
-
-    def extended(self, rows: Rows) -> "_Pending":
-        """These rows followed by those of ``rows`` not among them, as a
-        new stack; ``self`` stays as it is."""
-        extra = [row for row in dict.fromkeys(rows) if row not in self.known]
-        if not extra:
-            return self
-        matrix, rhs, magnitude = _stack(extra, self.width)
-        twin = copy.copy(self)
-        twin.rows = self.rows + extra
-        twin.known = self.known.union(extra)
-        twin.matrix = np.vstack([self.matrix, matrix])
-        twin.rhs = np.concatenate([self.rhs, rhs])
-        twin.magnitude = max(self.magnitude, magnitude)
-        return twin
 
     def mask(self) -> np.ndarray:
         """A mask with every row still pending."""
@@ -460,37 +454,16 @@ class _Pending:
         return status, point
 
 
-def _unit(index: int, count: int, sign: int) -> tuple[int, ...]:
-    return (0,) * index + (sign,) + (0,) * (count - index - 1)
-
-
-def _bound_row(index: int, value: int, count: int) -> tuple[tuple[int, ...], int]:
-    """``v_index <= 0`` (value 0) or ``v_index >= 1`` (value 1) as a row."""
-    return (_unit(index, count, 1), 1) if value else (_unit(index, count, -1), 0)
-
-
-def _start_rows(cs: ConstraintSystem, zeros: Sequence[int]) -> Rows:
-    """The start rows of every relaxation of the system under these zero
-    fixings: box rows, presolved equality pairs, zero fixings; all hold
-    at the origin."""
-    n = cs.n_vars
-    start: Rows = [(_unit(i, n, -1), -1) for i in range(n)]
-    for row in cs.independent_equality_rows:
-        start.append((row.vector, 0))
-        start.append((tuple(-c for c in row.vector), 0))
-    return start + [_bound_row(i, 0, n) for i in zeros]
-
-
 class _Compiled:
-    """A constraint system as the solver sees it under one set of zero
-    fixings: the pending body (inequalities and the minimum-arc row),
-    deduplicated and stacked; the rows ``verify`` reads, stacked; the
-    lexicographic costs; and the root simplex on the start rows after its
-    primal, with that primal's pivots in ``root.pivots``. ``_prepare``
-    builds it on first use and keeps it on the system; it is never
-    changed afterwards, and every node works on a copy of the root."""
+    """A constraint system as the solver sees it: the start rows (the
+    presolved equality pairs); the pending body (inequalities and the
+    minimum-arc row), deduplicated and stacked; the rows ``verify``
+    reads, stacked; the lexicographic costs; and the root simplex on the
+    start rows with every variable boxed in [0, 1]. ``_prepare`` builds
+    it on first use and keeps it on the system; it is never changed
+    afterwards, and every node works on a copy of the root."""
 
-    def __init__(self, cs: ConstraintSystem, zeros: Sequence[int]):
+    def __init__(self, cs: ConstraintSystem):
         n = cs.n_vars
         inequalities, equalities = _system_rows(cs)
         # lexicographic product objective; see module docstring
@@ -503,8 +476,11 @@ class _Compiled:
         self.checks = (self.body.matrix, self.body.rhs, eq_matrix, eq_rhs)
         if max(self.body.magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
             self.checks = tuple(a.astype(object) for a in self.checks)
-        self.zeros = zeros
-        self.root = _Simplex(_start_rows(cs, zeros), self.costs)
+        self.start: Rows = []
+        for row in cs.independent_equality_rows:
+            self.start.append((row.vector, 0))
+            self.start.append((tuple(-c for c in row.vector), 0))
+        self.root = _Simplex(self.start, self.costs, [1] * n)
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the
@@ -516,45 +492,49 @@ class _Compiled:
         )
 
 
-def _prepare(inst: ILPInstance) -> tuple[_Compiled, _Pending]:
-    """The compiled system for the instance's zero fixings, built on first
-    use and kept on the system, and the instance's pending rows: the body
-    followed by the fixings to one."""
+def _prepare(inst: ILPInstance) -> _Compiled:
+    """The instance's compiled system, built on first use and kept on the
+    system."""
     _check_fixings(inst)
-    cs = inst.system
-    fixings = sorted(inst.fixings.items())
-    zeros = tuple(i for i, v in fixings if v == 0)
-    compiled = cs.solver_state.get(zeros)
-    if compiled is None:
+    state = inst.system.solver_state
+    if "compiled" not in state:
         # stored only once built, so a failed build leaves nothing behind
-        compiled = cs.solver_state[zeros] = _Compiled(cs, zeros)
-    ones = [_bound_row(i, 1, cs.n_vars) for i, v in fixings if v == 1]
-    return compiled, compiled.body.extended(ones)
+        state["compiled"] = _Compiled(inst.system)
+    return state["compiled"]
 
 
 def _solve_lp(
-    start: Rows, rows: Rows, costs: Sequence[int]
+    start: Rows,
+    rows: Rows,
+    costs: Sequence[int],
+    upper: Sequence[int],
+    fixings: dict[int, int] | None = None,
 ) -> tuple[str, list[Fraction]]:
-    """Exact minimum of ``costs . v`` over ``start + rows``, v >= 0: one
-    simplex on the start rows, which must hold at the origin, and the
-    other rows by row generation."""
+    """Exact minimum of ``costs . v`` over ``start + rows`` with
+    ``0 <= v <= upper`` and the fixings: one simplex on the start rows,
+    and the other rows by row generation."""
+    simplex = _Simplex(start, costs, upper)
+    for index, value in (fixings or {}).items():
+        simplex.fix(index, value)
     pending = _Pending(rows, len(costs))
-    status, point = pending.optimum(_Simplex(start, costs), pending.mask())
+    status, point = pending.optimum(simplex, pending.mask())
     num, den = point or ([], 1)
     return status, [Fraction(v, den) for v in num]
 
 
 @_names_pair
 def lp_relax(inst: ILPInstance) -> LPRelaxation:
-    """Continuous relaxation: variables in [0, 1], fixings as rows.
+    """Continuous relaxation: variables bounded in [0, 1], fixings as
+    bounds, the plain objective as costs.
 
     The value is an exact rational lower bound on the binary optimum; it
-    cannot be unbounded because every variable is boxed.
+    cannot be unbounded because every variable is bounded.
     """
-    compiled, pending = _prepare(inst)
+    compiled = _prepare(inst)
     costs = inst.system.objective
-    start = _start_rows(inst.system, compiled.zeros)
-    status, point = _solve_lp(start, pending.rows, costs)
+    status, point = _solve_lp(
+        compiled.start, compiled.body.rows, costs, [1] * len(costs), inst.fixings
+    )
     if status != "optimal":
         return LPRelaxation(status="infeasible", value=None, point=None)
     value = sum(c * p for c, p in zip(costs, point))
@@ -566,13 +546,16 @@ def solve(inst: ILPInstance) -> Solution:
     """Globally optimal binary assignment, or infeasible.
 
     Branch-and-bound, depth-first on the most fractional relaxation
-    variable, children explored zero-branch first, each warm-started from
-    its parent's tableau; every returned assignment is re-verified by
-    integer row evaluation.
+    variable, children explored zero-branch first; the pair's root is a
+    copy of the system's root with the fixings as bounds, and each child
+    a copy of its parent's optimal tableau with the branching variable
+    fixed. Every returned assignment is re-verified by integer row
+    evaluation.
     """
     cs = inst.system
     n = cs.n_vars
-    compiled, pending = _prepare(inst)
+    compiled = _prepare(inst)
+    pending = compiled.body
     costs = compiled.costs
     fixed = dict(inst.fixings)
 
@@ -595,19 +578,15 @@ def solve(inst: ILPInstance) -> Solution:
                 best_combined = value
                 best_assignment = list(seed)
 
-    nodes = 0
-    pivots = compiled.root.pivots
-    # each entry: the parent's solved simplex (the root's for the root) and
-    # pending mask, plus the branching row the child adds (None for the root)
-    stack: list[tuple[_Simplex, np.ndarray, tuple | None]] = [
-        (compiled.root, pending.mask(), None)
-    ]
+    nodes = pivots = 0
+    root = compiled.root.copy()
+    for index, value in fixed.items():
+        root.fix(index, value)
+    # each entry: a node's simplex and pending mask, not yet optimised
+    stack: list[tuple[_Simplex, np.ndarray]] = [(root, pending.mask())]
     while stack:
-        simplex, live, branch_row = stack.pop()
+        simplex, live = stack.pop()
         nodes += 1
-        simplex, live = simplex.copy(), live.copy()
-        if branch_row is not None:
-            simplex.add_rows([branch_row])
         status, point = pending.optimum(simplex, live)
         pivots += simplex.pivots
         if status != "optimal":
@@ -624,8 +603,10 @@ def solve(inst: ILPInstance) -> Solution:
                 best_assignment = candidate
             continue
         branch = min(fractional, key=lambda i: (abs(2 * num[i] - den), i))
-        stack.append((simplex, live, _bound_row(branch, 1, n)))
-        stack.append((simplex, live, _bound_row(branch, 0, n)))
+        for value in (1, 0):  # the zero branch is popped first
+            child = simplex.copy()
+            child.fix(branch, value)
+            stack.append((child, live.copy()))
 
     if best_assignment is None:
         return Solution(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .eventlog import EventLog, Trace, prefix_closure
@@ -149,18 +150,31 @@ def inject_noise(log: EventLog, level: float, seed: int) -> EventLog:
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"noise level must be in [0, 1], got {level}")
-    instances: list[Trace] = []
-    for trace, mult in sorted(log.traces.items()):
-        instances.extend([trace] * mult)
+    traces = sorted(log.traces.items())
+    total = sum(mult for _, mult in traces)
+    if total > sys.maxsize:
+        raise ValueError(
+            f"cannot inject noise into more than {sys.maxsize} trace instances"
+        )
     rng = random.Random(seed)
-    budget = math.ceil(level * len(instances))
-    selected = sorted(rng.sample(range(len(instances)), budget))
-    for index in selected:
-        trace = instances[index]
-        if len(trace) < 2:
-            continue  # too short to manipulate
-        instances[index] = _manipulate(rng, trace)
-    return EventLog.from_pairs((trace, 1) for trace in instances)
+    budget = math.ceil(level * total)
+    # instance i is the trace whose cumulative count, in sorted-trace
+    # order, first exceeds i; the log is rebuilt from runs of unchanged
+    # instances between the selected ones, in instance order
+    selected = iter(sorted(rng.sample(range(total), budget)))
+    index = next(selected, total)
+    pairs: list[tuple[Trace, int]] = []
+    start = 0
+    for trace, mult in traces:
+        end = start + mult
+        while index < end:
+            pairs.append((trace, index - start))
+            # too short to manipulate: the instance stays as it is
+            pairs.append((_manipulate(rng, trace) if len(trace) >= 2 else trace, 1))
+            start, index = index + 1, next(selected, total)
+        pairs.append((trace, end - start))
+        start = end
+    return EventLog.from_pairs(pair for pair in pairs if pair[1])
 
 
 def _manipulate(rng: random.Random, trace: Trace) -> Trace:

@@ -263,6 +263,9 @@ _NAMELESS_EVENT_XES = (
     b'<log><trace><event><string key="org:resource" value="x"/></event></trace></log>'
 )
 
+# more trace instances than a Python sequence can index
+_HUGE_COUNT_LOG = b"99999999999999999999999;a b c\n"
+
 
 @pytest.mark.parametrize(
     "args, name, content",
@@ -281,6 +284,12 @@ _NAMELESS_EVENT_XES = (
         ),
         (["sweep", "--alphas", ",", "--noise-levels", "0"], "l1.log", None),
         (["sweep", "--alphas", "0.75", "--noise-levels", ","], "l1.log", None),
+        (
+            ["noise", "--level", "0.1", "--seed", "1", "--out", "{out}"],
+            "huge.log",
+            _HUGE_COUNT_LOG,
+        ),
+        (["sweep", "--alphas", "1", "--noise-levels", "0.1"], "huge.log", _HUGE_COUNT_LOG),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):

@@ -124,7 +124,7 @@ def test_solver_error_names_the_pair(l1, monkeypatch):
     def stuck(self):
         raise SolverError("simplex failed to terminate")
 
-    monkeypatch.setattr(ilp._Simplex, "_primal", stuck)
+    monkeypatch.setattr(ilp._Simplex, "reoptimise", stuck)
     with pytest.raises(SolverError) as exc:
         run_discovery(l1)
     match = re.fullmatch(

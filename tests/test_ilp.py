@@ -22,17 +22,17 @@ from regionminer.regions import (
 from .util import admissible_pairs, random_instance, random_use_system
 
 
-def _lp(rows, costs):
-    """The one LP entry on rows in any order: rows the origin satisfies
-    start the simplex, the others are added to it."""
+def _lp(rows, costs, upper):
+    """The one LP entry on rows in any order, with 0 <= v <= upper: rows
+    the origin satisfies start the simplex, the others are added to it."""
     start = [row for row in rows if row[1] <= 0]
-    return _solve_lp(start, [row for row in rows if row[1] > 0], costs)
+    return _solve_lp(start, [row for row in rows if row[1] > 0], costs, upper)
 
 
 def test_simplex_box_corner():
     # min -x - y st x <= 2, y <= 2 -> optimum -4 at (2, 2)
     rows = [((-1, 0), -2), ((0, -1), -2)]
-    status, point = _lp(rows, [-1, -1])
+    status, point = _lp(rows, [-1, -1], [3, 3])
     assert status == "optimal"
     assert point == [Fraction(2), Fraction(2)]
 
@@ -40,7 +40,7 @@ def test_simplex_box_corner():
 def test_simplex_balances_constraints():
     # min -x - y st x + y <= 3, x <= 2, y <= 2
     rows = [((-1, -1), -3), ((-1, 0), -2), ((0, -1), -2)]
-    status, point = _lp(rows, [-1, -1])
+    status, point = _lp(rows, [-1, -1], [3, 3])
     assert status == "optimal"
     assert sum(point) == 3
 
@@ -48,21 +48,23 @@ def test_simplex_balances_constraints():
 def test_simplex_needs_phase_one():
     # min x st x >= 2, x <= 5
     rows = [((1,), 2), ((-1,), -5)]
-    status, point = _lp(rows, [1])
+    status, point = _lp(rows, [1], [6])
     assert status == "optimal"
     assert point == [Fraction(2)]
+    # a start row the origin violates is one more row for the dual simplex
+    assert _solve_lp(rows, [], [1], [6]) == ("optimal", [Fraction(2)])
 
 
 def test_simplex_detects_infeasible():
     rows = [((1,), 2), ((-1,), -1)]
-    status, _ = _lp(rows, [1])
+    status, _ = _lp(rows, [1], [3])
     assert status == "infeasible"
 
 
 def test_simplex_fractional_optimum():
     # min -x st 2x <= 1
     rows = [((-2,), -1)]
-    status, point = _lp(rows, [-1])
+    status, point = _lp(rows, [-1], [1])
     assert status == "optimal"
     assert point == [Fraction(1, 2)]
 
@@ -81,7 +83,7 @@ def test_simplex_matches_scipy_on_random_lps():
             (tuple(-1 if k == j else 0 for k in range(n)), -3) for j in range(n)
         ]
         costs = [rng.randint(-5, 5) for _ in range(n)]
-        status, point = _lp(rows, costs)
+        status, point = _lp(rows, costs, [3] * n)
         result = scipy_opt.linprog(
             c=costs,
             A_ub=[[-c for c in coefs] for coefs, _ in rows],
@@ -200,6 +202,41 @@ def test_lp_relax_bounds_ilp_on_random_instances():
             assert relax.status == "optimal"
             assert relax.value <= exact.objective
         # relaxation may stay feasible when the binary problem is not
+
+
+def test_lp_relax_matches_scipy_on_random_instances():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = random.Random(19)
+    instances = [_contradicted_instance()]
+    for k in range(80):
+        inst = random_instance(rng)
+        if k % 2:  # signed objectives put variables at their upper bound
+            signed = tuple(rng.randint(-9, 9) for _ in inst.system.objective)
+            inst = replace(inst, system=replace(inst.system, objective=signed))
+        instances.append(inst)
+    for inst in instances:
+        cs = inst.system
+        rows = [row.vector for row in cs.inequality_rows] + [cs.min_arc_row()]
+        rhs = [0] * len(cs.inequality_rows) + [1]
+        equalities = [row.vector for row in cs.equality_rows]
+        relax = lp_relax(inst)
+        result = scipy_opt.linprog(
+            c=cs.objective,
+            A_ub=[[-c for c in coefs] for coefs in rows],
+            b_ub=[-r for r in rhs],
+            A_eq=equalities or None,
+            b_eq=[0] * len(equalities) or None,
+            bounds=[
+                (inst.fixings[i],) * 2 if i in inst.fixings else (0, 1)
+                for i in range(cs.n_vars)
+            ],
+            method="highs",
+        )
+        if result.status == 2:
+            assert relax.status == "infeasible"
+        else:
+            assert result.status == 0 and relax.status == "optimal"
+            assert abs(float(relax.value) - result.fun) < 1e-7
 
 
 def test_lp_relax_min_arc_only():
@@ -415,7 +452,7 @@ def test_coefficients_beyond_int64_pivot_exactly():
     assert result == brute_force(inst)
     assert result.status == "optimal"
     # entries too large even to build an int64 array
-    assert _lp([((2**70,), 2**69), ((-1,), -1)], [1]) == (
+    assert _lp([((2**70,), 2**69), ((-1,), -1)], [1], [1]) == (
         "optimal",
         [Fraction(1, 2)],
     )
@@ -425,8 +462,8 @@ def test_start_row_at_the_int64_minimum_solves_exactly():
     # -2**63 fits int64 but its negation does not; the optimum's
     # denominator, 2**63, does not fit either
     big = 1 << 63
-    assert _lp([((-big,), -big)], [-1]) == ("optimal", [Fraction(1)])
-    assert _lp([((-big, 0), -big), ((0, -1), -1), ((1, 1), 1)], [-1, 1]) == (
+    assert _lp([((-big,), -big)], [-1], [2]) == ("optimal", [Fraction(1)])
+    assert _lp([((-big, 0), -big), ((0, -1), -1), ((1, 1), 1)], [-1, 1], [2, 2]) == (
         "optimal",
         [Fraction(1), Fraction(0)],
     )
@@ -447,11 +484,11 @@ def test_search_path_is_pinned(request):
     # every pivot and branching rule is deterministic, so a change to one
     # of them, or to the bound or the integrality test, moves these sums
     seeded = [solve(random_instance(random.Random(seed))) for seed in range(40)]
-    assert (sum(s.pivots for s in seeded), sum(s.nodes for s in seeded)) == (243, 44)
+    assert (sum(s.pivots for s in seeded), sum(s.nodes for s in seeded)) == (127, 44)
     for fixture, alpha, work in [
-        ("l1", None, (98, 15)),
-        ("l1_prime", 0.75, (98, 15)),
-        ("l1_prime", None, (110, 15)),
+        ("l1", None, (59, 15)),
+        ("l1_prime", 0.75, (59, 15)),
+        ("l1_prime", None, (76, 15)),
     ]:
         solutions = []
 
@@ -471,21 +508,23 @@ def test_branching_takes_the_value_nearest_one_half():
     # the integer rule |2 num - den| must pick what |p - 1/2| picks on
     # the Fractions, ties to the lower index, at every branching node
     branched, last = [], []
-    optimum, bound_row = ilp._Pending.optimum, ilp._bound_row
+    optimum, fix = ilp._Pending.optimum, ilp._Simplex.fix
 
     def spy_optimum(self, simplex, live):
         result = optimum(self, simplex, live)
         last[:] = [result[1]]
         return result
 
-    def spy_bound_row(index, value, count):
-        if last and value == 1:  # solve branches: the one-branch row first
+    def spy_fix(self, index, value):
+        # fixings come before the first optimum; solve then branches on
+        # the one-branch child first
+        if last and value == 1:
             branched.append((index, last[0]))
-        return bound_row(index, value, count)
+        fix(self, index, value)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Pending, "optimum", spy_optimum)
-        patch.setattr(ilp, "_bound_row", spy_bound_row)
+        patch.setattr(ilp._Simplex, "fix", spy_fix)
         for seed in range(150):
             last.clear()
             solve(random_instance(random.Random(seed)))
@@ -577,9 +616,9 @@ def _causal_instances(cs):
 
 
 def test_row_generated_node_builds_one_simplex(l1):
-    # solve builds one _Simplex per system and set of zero fixings, across
-    # every pair; every solve node, the root included, works on a copy,
-    # and only copies take rows or re-optimise. lp_relax builds one
+    # solve builds one _Simplex per system, across every pair and set of
+    # fixings; every solve node, the pair's root included, works on a
+    # copy, and only copies take rows or re-optimise. lp_relax builds one
     # simplex of its own per call, for the plain objective.
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))
@@ -593,9 +632,9 @@ def test_row_generated_node_builds_one_simplex(l1):
         ilp._Simplex.reoptimise,
     )
 
-    def counting_init(self, rows, costs):
+    def counting_init(self, rows, costs, upper):
         built.append(self)
-        init(self, rows, costs)
+        init(self, rows, costs, upper)
 
     def counting_copy(self):
         twin = copy(self)
@@ -628,18 +667,57 @@ def test_row_generated_node_builds_one_simplex(l1):
                     assert len(copies) == result.nodes
                     ids = {id(twin) for twin in copies}
                     assert {id(s) for s, _ in added} <= ids
-                    assert {id(s) for s in reoptimised} <= ids
-                    assert all(any(s is twin for s, _ in added) for twin in copies)
+                    assert {id(s) for s in reoptimised} == ids
                 else:
                     relaxations += 1
                     assert not copies
                 if any(inst is p for p in pinned):
                     assert result.status == "optimal"
-                    assert len(added) > 1 and {count for _, count in added} == {1}
-    # one root each for cs and branching.system, zero fixings {m}
+                    assert added and {count for _, count in added} == {1}
+                # five rows are violated at once here: one per round
+                if inst is pinned[0]:
+                    assert len(added) > 1
+    # one root each for cs and branching.system
     assert len(built) == relaxations + 2
     assert solve(branching).nodes > 1
-    assert [list(s.solver_state) for s in (cs, branching.system)] == [[(0,)], [(0,)]]
+    assert [list(s.solver_state) for s in (cs, branching.system)] == [["compiled"]] * 2
+
+
+def _is_unit(row):
+    coefs, _ = row
+    return [abs(c) for c in coefs if c] == [1]
+
+
+def test_no_bound_becomes_a_row(l1):
+    # fixings and branching bounds are bound changes: every row that
+    # reaches add_rows is a body row, never a unit bound row, and the
+    # compiled system does not depend on which variables are fixed
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    branching = random_instance(random.Random(0))
+    a, b = cs.x_index("a"), cs.y_index("b")
+    others = [
+        ILPInstance(system=cs, fixings={a: 1, b: 1}),
+        ILPInstance(system=cs, fixings={0: 0, a: 1, b: 0, cs.y_index("c"): 1}),
+    ]
+    added = []
+    add_rows = ilp._Simplex.add_rows
+
+    def spy(self, rows):
+        added.extend(rows)
+        add_rows(self, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "add_rows", spy)
+        assert solve(branching).nodes > 1
+        for inst in _causal_instances(cs) + others:
+            solve(inst)
+    assert added and not any(_is_unit(row) for row in added)
+    for system in (cs, branching.system):
+        assert list(system.solver_state) == ["compiled"]
+    body = set(cs.solver_state["compiled"].body.rows)
+    body |= set(branching.system.solver_state["compiled"].body.rows)
+    assert set(added) <= body
 
 
 def _fresh_result(call, inst):
@@ -658,7 +736,7 @@ def test_shared_root_does_not_leak_between_pairs(l1, l1_prime):
     for log in (l1, l1_prime):
         use, start, end = use_transform(log)
         systems.append(build_constraint_system(prefix_closure(use, start, end)))
-    # signed objectives make the root's primal pivot
+    # signed objectives start the root with variables at their upper bound
     rng = random.Random(213)
     signed = random_instance(rng).system
     objective = tuple(rng.randint(-9, 9) for _ in signed.objective)
@@ -677,10 +755,29 @@ def test_shared_root_does_not_leak_between_pairs(l1, l1_prime):
         inst = ILPInstance(system=cs, fixings=fixings)
         calls += [(solve, inst), (lp_relax, inst)]
     random.Random(7).shuffle(calls)
+    roots = []
     for call, inst in calls:
         assert _work(call(inst)) == _work(_fresh_result(call, inst)), (call, inst)
-    assert signed.solver_state[(0,)].root.pivots > 0
-    assert sorted(cs.solver_state) == [(), (0,), (0, b)]
+        root = inst.system.solver_state["compiled"].root
+        if not any(root is seen for seen, _ in roots):
+            roots.append((root, _root_state(root)))
+    # the roots are never changed, and there is one per system
+    assert len(roots) == len(systems)
+    assert all(_root_state(root) == state for root, state in roots)
+    assert signed.solver_state["compiled"].root.raised
+    assert all(list(s.solver_state) == ["compiled"] for s in systems)
+
+
+def _root_state(simplex):
+    return (
+        simplex.tableau.tolist(),
+        list(simplex.basis),
+        list(simplex.cost),
+        list(simplex.lower),
+        list(simplex.upper),
+        dict(simplex.raised),
+        simplex.den,
+    )
 
 
 def test_failed_compile_leaves_nothing_cached(l1):
@@ -688,16 +785,17 @@ def test_failed_compile_leaves_nothing_cached(l1):
     cs = build_constraint_system(prefix_closure(use, start, end))
     inst = instantiate_causal_ilp(cs, "a", "b")
 
-    def stuck(self):
-        raise SolverError("simplex failed to terminate")
+    def stuck(self, rows, costs, upper):
+        raise SolverError("simplex failed to build")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ilp._Simplex, "_primal", stuck)
+        # the root simplex is the last part of the compiled system built
+        patch.setattr(ilp._Simplex, "__init__", stuck)
         with pytest.raises(SolverError, match=r"^pair \(a, b\): simplex failed"):
             solve(inst)
     assert cs.solver_state == {}
     assert _work(solve(inst)) == _work(_fresh_result(solve, inst))
-    assert list(cs.solver_state) == [(0,)]
+    assert list(cs.solver_state) == ["compiled"]
 
 
 def test_dual_simplex_that_cannot_finish_names_the_pair(l1):
@@ -731,10 +829,10 @@ def test_rows_with_huge_coefficients_warm_start_exactly(big):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp._Simplex, "reoptimise", spy)
         patch.setattr(ilp, "_ROW_BATCH", 1)
-        status, point = _solve_lp(box, optional, costs)
+        status, point = _solve_lp(box, optional, costs, [1, 1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp, "_ROW_BATCH", 10**9)
-        cold_status, cold_point = _solve_lp(box, optional, costs)
+        cold_status, cold_point = _solve_lp(box, optional, costs, [1, 1])
     assert status == cold_status == "optimal"
     assert dtypes and (big < 2**61 or dtypes[-1] == np.dtype(object))
     value = sum(c * p for c, p in zip(costs, point))
@@ -743,17 +841,12 @@ def test_rows_with_huge_coefficients_warm_start_exactly(big):
         assert sum(c * p for c, p in zip(coefs, point)) >= rhs
 
 
-def test_simplex_rejects_a_start_row_the_origin_violates():
-    with pytest.raises(SolverError, match="origin"):
-        ilp._Simplex([((-1,), -1), ((1,), 2)], [1])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.booleans())
 @example(213, False)  # sibling nodes add different rows to copies of one tableau
 def test_signed_objectives_match_brute_force(seed, python_ints):
-    # negative costs make the primal simplex pivot at the root, and the
-    # branch-and-bound children re-optimise from those tableaux
+    # negative costs start their variables at the upper bound, so the
+    # dual simplex moves variables off both bounds and out at both bounds
     rng = random.Random(seed)
     inst = random_instance(rng)
     signed = tuple(rng.randint(-9, 9) for _ in inst.system.objective)
