@@ -47,7 +47,9 @@ class SequenceEncodingGraph:
 
 def build_graph(pc: PrefixClosure) -> SequenceEncodingGraph:
     """Construct the sequence-encoding graph of a prefix-closure from its
-    encoding table."""
+    encoding table. It is acyclic by construction: every arc runs from a
+    prefix's row to the row of a prefix one event longer, and a row's
+    ``encoding_length`` is its prefix's length."""
     table = pc.encodings
     vertex_weight: dict[EncodingVector, int] = {}
     children: dict[EncodingVector, dict[EncodingVector, int]] = {}
@@ -58,34 +60,12 @@ def build_graph(pc: PrefixClosure) -> SequenceEncodingGraph:
         if trace:
             arcs = children.setdefault(table[trace[:-1]], {})
             arcs[vec] = arcs.get(vec, 0) + freq
-    graph = SequenceEncodingGraph(
+    return SequenceEncodingGraph(
         root=table[()],
         children=children,
         vertex_weight=vertex_weight,
         alphabet=pc.ordered_alphabet(),
     )
-    _assert_acyclic(graph)
-    return graph
-
-
-def _assert_acyclic(graph: SequenceEncodingGraph) -> None:
-    # Kahn topological sort; encoding length strictly increases along arcs,
-    # so a cycle would indicate a construction bug.
-    indegree: dict[EncodingVector, int] = {v: 0 for v in graph.vertex_weight}
-    for arcs in graph.children.values():
-        for child in arcs:
-            indegree[child] += 1
-    queue = deque(v for v, deg in indegree.items() if deg == 0)
-    seen = 0
-    while queue:
-        vertex = queue.popleft()
-        seen += 1
-        for child in graph.children.get(vertex, {}):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    if seen != len(indegree):
-        raise AssertionError("sequence encoding graph has a cycle")
 
 
 def kappa_max(
@@ -96,7 +76,12 @@ def kappa_max(
     arcs = graph.children.get(vertex, {})
     if not arcs:
         return set()
-    bound = (1.0 - alpha) * max(arcs.values())
+    try:
+        bound = (1.0 - alpha) * max(arcs.values())
+    except OverflowError:
+        raise ValueError(
+            "the filter cannot weigh an arc weight beyond float range"
+        ) from None
     return {child for child, weight in arcs.items() if weight >= bound}
 
 

@@ -40,17 +40,18 @@ depend only on the constraint system, never on the fixings, so
 simplex once per system, and keeps it on the system
 (``ConstraintSystem.solver_state``). Each pair copies the root and
 fixes ``m = 0``, ``x_a = 1`` and ``y_b = 1`` on the copy; a
-branch-and-bound child copies its parent's optimal tableau and
-pending-row mask and fixes the branching variable, so every node is a
-warm start. The root itself is never changed, and ``Solution.pivots``
-sums the dual pivots of every node. ``lp_relax`` minimises the plain
-objective, not the lexicographic one, so it builds one simplex of its
-own on the same start rows and pending rows.
+branch-and-bound child copies its parent's optimal tableau and fixes the
+branching variable, so every node is a warm start. No node records
+which pending rows its path has added: a row in the tableau has a slack
+``>= 0``, so it holds at every optimum and is never violated again. The
+root itself is never changed, and ``Solution.pivots`` sums the dual
+pivots of every node. ``lp_relax`` minimises the plain objective, not
+the lexicographic one, so it builds one simplex of its own on the same
+start rows and pending rows.
 
-Bounds are never substituted, so every node keeps all variables and the
-same cost vector. The dual loop falls back to Bland's rule (the lowest
-basis index leaves) after ``bland_after`` pivots and raises
-``SolverError`` after ``_PIVOT_LIMIT`` pivots.
+The dual loop falls back to Bland's rule (the lowest basis index
+leaves) after ``bland_after`` pivots and raises ``SolverError`` after
+``_PIVOT_LIMIT`` pivots.
 
 Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
 array, and each fraction-free pivot is the single array expression
@@ -68,12 +69,14 @@ coefficient sum stays below 2**62, and otherwise turn the tableau into
 ``object`` the same way. The last tableau column is the right-hand side
 with every nonbasic variable at zero; the basic values subtract the
 columns of the variables that sit away from zero, which is where a bound
-change shows, and that product, the pending rows' slacks and the
-re-verification of an optimum are matrix products, in ``int64`` when a
-bound on every partial sum allows it and in Python ints otherwise. The
-cost row stays a list of Python ints, because the lexicographic
-objective below scales it by 2**n. The pivot rules see the same integers
-either way, so the pivot sequence does not depend on the representation.
+change shows. That product, the pending rows' slacks and the
+re-verification of an optimum are matrix products, and ``_dot`` is the
+one place where such a row product chooses between ``int64`` and Python
+ints: ``int64`` when the largest matrix entry times the vector's
+absolute sum, a bound on every partial sum, is below 2**63. The cost
+row stays a list of Python ints, because the lexicographic objective
+below scales it by 2**n. The pivot rules see the same integers either
+way, so the pivot sequence does not depend on the representation.
 
 LP points: every value is an integer numerator over the one tableau
 denominator ``den``, so an LP point is its numerators with ``den``.
@@ -211,11 +214,11 @@ class _Simplex:
         self.pivots = 0
         self.width = n + m + 1
         # row i reads slack_i - coefs . v = -rhs, with slack_i basic
-        matrix, rhs, _ = _stack(rows, n)
+        matrix, _ = _stack(rows, n)
         self.tableau = np.zeros((m, self.width), dtype=matrix.dtype)
-        self.tableau[:, :n] = -matrix
+        self.tableau[:, :n] = -matrix[:, :n]
         self.tableau[np.arange(m), n + np.arange(m)] = 1
-        self.tableau[:, -1] = -rhs
+        self.tableau[:, -1] = matrix[:, n]
         self.basis = list(range(n, n + m))
         # reduced cost of each column (the initial basics all cost zero)
         self.cost = list(costs) + [0] * m
@@ -314,10 +317,7 @@ class _Simplex:
             return self.tableau[:, -1].tolist()
         block = self.tableau[:, list(self.raised) + [-1]]
         weights = [-v for v in self.raised.values()] + [1]
-        bound = max(_magnitude(block), 1) * sum(map(abs, weights))
-        if block.dtype != object and bound >= 1 << 63:
-            block = block.astype(object)
-        return (block @ np.array(weights, dtype=block.dtype)).tolist()
+        return _dot(block, weights, _magnitude(block)).tolist()
 
     def reoptimise(self) -> tuple[str, Point | None]:
         """Bounded dual simplex: the reduced costs stay dual feasible while
@@ -393,62 +393,54 @@ def _magnitude(array: np.ndarray) -> int:
     return max(abs(int(array.max())), abs(int(array.min())))
 
 
-def _stack(rows: Rows, width: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The rows as a coefficient matrix and an rhs vector, ``int64`` when
-    every entry and its negation fit and ``object`` otherwise, plus their
-    largest absolute entry."""
-    coefs = [c for c, _ in rows]
-    rhs = [r for _, r in rows]
+def _dot(matrix: np.ndarray, vector: Sequence[int], magnitude: int) -> np.ndarray:
+    """``matrix @ vector`` exactly, given ``magnitude`` >= every absolute
+    entry of the matrix. ``max(magnitude, 1) * sum(|vector|)`` bounds
+    every partial sum and every vector entry: below 2**63 the product runs
+    in ``int64``, otherwise in Python ints."""
+    if matrix.dtype != object and max(magnitude, 1) * sum(map(abs, vector)) < 1 << 63:
+        return matrix @ np.array(vector, dtype=np.int64)
+    return matrix.astype(object, copy=False) @ np.array(vector, dtype=object)
+
+
+def _stack(rows: Rows, width: int) -> tuple[np.ndarray, int]:
+    """The rows as one matrix, each line a row's coefficients followed by
+    its negated rhs, so ``matrix @ (v + [1])`` is every row's slack at
+    ``v``; ``int64`` when every entry and its negation fit and ``object``
+    otherwise, plus the largest absolute entry."""
+    lines = [(*coefs, -rhs) for coefs, rhs in rows]
     try:
-        matrix = np.array(coefs, dtype=np.int64).reshape(len(rows), width)
-        vector = np.array(rhs, dtype=np.int64)
+        matrix = np.array(lines, dtype=np.int64).reshape(len(rows), width + 1)
     except OverflowError:
-        matrix = np.array(coefs, dtype=object).reshape(len(rows), width)
-        vector = np.array(rhs, dtype=object)
-    magnitude = max(_magnitude(matrix), _magnitude(vector))
+        matrix = np.array(lines, dtype=object).reshape(len(rows), width + 1)
+    magnitude = _magnitude(matrix)
     if magnitude == 1 << 63:  # -2**63 has no int64 negation
-        matrix, vector = matrix.astype(object), vector.astype(object)
-    return matrix, vector, magnitude
+        matrix = matrix.astype(object)
+    return matrix, magnitude
 
 
 class _Pending:
     """Rows that enter a relaxation by row generation, deduplicated and
-    stacked once: a system's body is shared by all its pairs and nodes;
-    each node keeps a mask of the rows it has not added yet."""
+    stacked once: a system's body is shared by all its pairs and nodes."""
 
     def __init__(self, rows: Rows, width: int):
         self.rows = list(dict.fromkeys(rows))
-        self.matrix, self.rhs, self.magnitude = _stack(self.rows, width)
+        self.matrix, self.magnitude = _stack(self.rows, width)
 
-    def mask(self) -> np.ndarray:
-        """A mask with every row still pending."""
-        return np.ones(len(self.rows), dtype=bool)
-
-    def optimum(self, simplex: _Simplex, live: np.ndarray) -> tuple[str, Point | None]:
-        """Re-optimise ``simplex``, then add the most violated rows of
-        ``live`` (clearing them there) and re-optimise again until the
-        optimum satisfies every row; an optimum over a subset of the rows
-        that is feasible for all of them is optimal for all of them."""
+    def optimum(self, simplex: _Simplex) -> tuple[str, Point | None]:
+        """Re-optimise ``simplex``, then add the most violated rows and
+        re-optimise again until the optimum satisfies every row; an
+        optimum over a subset of the rows that is feasible for all of them
+        is optimal for all of them."""
         status, point = simplex.reoptimise()
         while status == "optimal":
             num, den = point
-            # |den * slack| <= magnitude * (width + 1) * max(den, |num|); the
-            # max(.., 1) keeps den and num within int64 when every row is zero
-            scale = max([den] + [abs(v) for v in num])
-            if (
-                self.matrix.dtype != object
-                and max(self.magnitude, 1) * (len(num) + 1) * scale < 1 << 63
-            ):
-                slack = self.matrix @ np.array(num, dtype=np.int64) - self.rhs * den
-            else:
-                rhs = self.rhs.astype(object) * den
-                slack = self.matrix.astype(object) @ np.array(num, dtype=object) - rhs
-            violated = np.flatnonzero(live & (slack < 0)).tolist()
+            slack = _dot(self.matrix, num + [den], self.magnitude)  # den * slack
+            violated = np.flatnonzero(slack < 0).tolist()
             if not violated:
                 break
             violated.sort(key=lambda i: (slack[i], self.rows[i][0]))
             chosen = violated[:_ROW_BATCH]
-            live[chosen] = False
             simplex.add_rows(sorted(self.rows[i] for i in chosen))
             status, point = simplex.reoptimise()
         return status, point
@@ -457,11 +449,11 @@ class _Pending:
 class _Compiled:
     """A constraint system as the solver sees it: the start rows (the
     presolved equality pairs); the pending body (inequalities and the
-    minimum-arc row), deduplicated and stacked; the rows ``verify``
-    reads, stacked; the lexicographic costs; and the root simplex on the
-    start rows with every variable boxed in [0, 1]. ``_prepare`` builds
-    it on first use and keeps it on the system; it is never changed
-    afterwards, and every node works on a copy of the root."""
+    minimum-arc row), deduplicated and stacked; all equality rows,
+    stacked for ``verify``; the lexicographic costs; and the root simplex
+    on the start rows with every variable boxed in [0, 1]. ``_prepare``
+    builds it on first use and keeps it on the system; it is never
+    changed afterwards, and every node works on a copy of the root."""
 
     def __init__(self, cs: ConstraintSystem):
         n = cs.n_vars
@@ -471,11 +463,7 @@ class _Compiled:
             c * (1 << n) + (1 << (n - 1 - i)) for i, c in enumerate(cs.objective)
         ]
         self.body = _Pending(inequalities, n)
-        # a binary assignment keeps each row value within n * magnitude
-        eq_matrix, eq_rhs, eq_magnitude = _stack(equalities, n)
-        self.checks = (self.body.matrix, self.body.rhs, eq_matrix, eq_rhs)
-        if max(self.body.magnitude, eq_magnitude) * (n + 1) >= 1 << 63:
-            self.checks = tuple(a.astype(object) for a in self.checks)
+        self.equalities, self.equality_magnitude = _stack(equalities, n)
         self.start: Rows = []
         for row in cs.independent_equality_rows:
             self.start.append((row.vector, 0))
@@ -485,10 +473,10 @@ class _Compiled:
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the
         presolve does not apply here)."""
-        ineq_matrix, ineq_rhs, eq_matrix, eq_rhs = self.checks
-        vector = np.array(assignment, dtype=ineq_matrix.dtype)
-        return bool((ineq_matrix @ vector >= ineq_rhs).all()) and bool(
-            (eq_matrix @ vector == eq_rhs).all()
+        point = list(assignment) + [1]
+        body = self.body
+        return bool((_dot(body.matrix, point, body.magnitude) >= 0).all()) and bool(
+            (_dot(self.equalities, point, self.equality_magnitude) == 0).all()
         )
 
 
@@ -517,7 +505,7 @@ def _solve_lp(
     for index, value in (fixings or {}).items():
         simplex.fix(index, value)
     pending = _Pending(rows, len(costs))
-    status, point = pending.optimum(simplex, pending.mask())
+    status, point = pending.optimum(simplex)
     num, den = point or ([], 1)
     return status, [Fraction(v, den) for v in num]
 
@@ -553,7 +541,6 @@ def solve(inst: ILPInstance) -> Solution:
     evaluation.
     """
     cs = inst.system
-    n = cs.n_vars
     compiled = _prepare(inst)
     pending = compiled.body
     costs = compiled.costs
@@ -571,23 +558,16 @@ def solve(inst: ILPInstance) -> Solution:
 
     best_assignment: list[int] | None = None
     best_combined: int | None = None
-    for seed in inst.seeds:
-        if len(seed) == n and verify(seed):
-            value = combined_value(seed)
-            if best_combined is None or value < best_combined:
-                best_combined = value
-                best_assignment = list(seed)
-
     nodes = pivots = 0
     root = compiled.root.copy()
     for index, value in fixed.items():
         root.fix(index, value)
-    # each entry: a node's simplex and pending mask, not yet optimised
-    stack: list[tuple[_Simplex, np.ndarray]] = [(root, pending.mask())]
+    # the simplex of every node still to visit, not yet optimised
+    stack = [root]
     while stack:
-        simplex, live = stack.pop()
+        simplex = stack.pop()
         nodes += 1
-        status, point = pending.optimum(simplex, live)
+        status, point = pending.optimum(simplex)
         pivots += simplex.pivots
         if status != "optimal":
             continue
@@ -606,7 +586,7 @@ def solve(inst: ILPInstance) -> Solution:
         for value in (1, 0):  # the zero branch is popped first
             child = simplex.copy()
             child.fix(branch, value)
-            stack.append((child, live.copy()))
+            stack.append(child)
 
     if best_assignment is None:
         return Solution(

@@ -14,7 +14,7 @@ outgoing indicators. All constraint coefficients are integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -151,16 +151,13 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class ILPInstance:
-    """A constraint system plus variable fixings (index -> binary value).
-
-    ``seeds`` are optional integer assignments worth trying as initial
-    incumbents; they are verified before use.
-    """
+    """A constraint system plus variable fixings (index -> binary value)
+    and, for a causal instance, the pair it was built for, which names the
+    pair in solver errors."""
 
     system: ConstraintSystem
     fixings: Mapping[int, int]
     pair: tuple[str, str] | None = None
-    seeds: tuple[tuple[int, ...], ...] = field(default=())
 
 
 def _independent_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -296,25 +293,7 @@ def instantiate_causal_ilp(cs: ConstraintSystem, a: str, b: str) -> ILPInstance:
     if a == end or b == start:
         raise ValueError(f"pair ({a}, {b}) may not leave the end or enter the start")
     fixings = {0: 0, cs.x_index(a): 1, cs.y_index(b): 1}
-    return ILPInstance(
-        system=cs, fixings=fixings, pair=(a, b), seeds=(_wrap_seed(cs, a, b),)
-    )
-
-
-def _wrap_seed(cs: ConstraintSystem, a: str, b: str) -> tuple[int, ...]:
-    # Always-feasible assignment on unfiltered USE systems: route the pair
-    # through the start/end wrappers, self-looping a and b in between.
-    start, end = cs.alphabet[0], cs.alphabet[-1]
-    seed = [0] * cs.n_vars
-    seed[cs.x_index(start)] = 1
-    seed[cs.y_index(end)] = 1
-    for activity in (a, b):
-        if activity not in (start, end):
-            seed[cs.x_index(activity)] = 1
-            seed[cs.y_index(activity)] = 1
-    seed[cs.x_index(a)] = 1
-    seed[cs.y_index(b)] = 1
-    return tuple(seed)
+    return ILPInstance(system=cs, fixings=fixings, pair=(a, b))
 
 
 def check_region(

@@ -265,6 +265,8 @@ _NAMELESS_EVENT_XES = (
 
 # more trace instances than a Python sequence can index
 _HUGE_COUNT_LOG = b"99999999999999999999999;a b c\n"
+# arc weights beyond float range for the filter
+_HEAVY_ARC_LOG = b"1" + b"0" * 400 + b";a b c\n1;a c b\n"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +292,7 @@ _HUGE_COUNT_LOG = b"99999999999999999999999;a b c\n"
             _HUGE_COUNT_LOG,
         ),
         (["sweep", "--alphas", "1", "--noise-levels", "0.1"], "huge.log", _HUGE_COUNT_LOG),
+        (["discover", "--alpha", "0.75", "--out-pnml", "{out}"], "heavy.log", _HEAVY_ARC_LOG),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
@@ -307,6 +310,21 @@ def test_malformed_input_is_one_error_line(workspace, capsys, args, name, conten
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert not (workspace / "out").exists()
+
+
+def test_out_of_memory_is_one_error_line(workspace, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("regionminer.cli.inject_noise", exhausted)
+    out = workspace / "out"
+    log = str(workspace / "l1.log")
+    code = main(["noise", "--log", log, "--level", "0.1", "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_convert_xes(workspace):

@@ -9,7 +9,11 @@ from regionminer.filtering import (
     sef_bfs,
     seg_dot,
 )
-from regionminer.regions import build_constraint_system, sequence_encoding
+from regionminer.regions import (
+    build_constraint_system,
+    encoding_length,
+    sequence_encoding,
+)
 
 from .conftest import DATA
 
@@ -109,6 +113,15 @@ def test_kappa_worked_example(pc_l1_prime, graph_l1_prime):
     kept = kappa_max(g, v_ab, alpha=0.75)
     # (1 - 0.75) * 21 = 5.25 > 1, so only the 21-weighted child survives
     assert {g.children[v_ab][c] for c in kept} == {21}
+
+
+def test_kappa_compares_weights_in_float():
+    # (1.0 - 0.1) * 10 rounds to 9.0, so the weight-9 arc survives; the
+    # exact product of that float with 10 lies above 9 and would drop it
+    pc = prefix_closure(EventLog.from_pairs([(("a", "b"), 9), (("a", "c"), 10)]))
+    g = build_graph(pc)
+    kept = kappa_max(g, _vec(pc, "a"), alpha=0.1)
+    assert sorted(g.children[_vec(pc, "a")][c] for c in kept) == [9, 10]
 
 
 def test_kappa_alpha_one_keeps_all(graph_l1_prime):
@@ -231,6 +244,8 @@ def test_encoding_table_matches_fixture(pc_l1_prime):
 
 
 def test_graph_acyclic_on_random_logs():
+    # every arc raises the encoding length by exactly one, so no path of
+    # arcs returns to its first vertex; on plain logs and on USE-wrapped ones
     import random
 
     rng = random.Random(11)
@@ -239,8 +254,15 @@ def test_graph_acyclic_on_random_logs():
             tuple(rng.choice("abcd") for _ in range(rng.randint(1, 5)))
             for _ in range(rng.randint(1, 6))
         ]
-        use, start, end = use_transform(EventLog.from_traces(traces))
-        build_graph(prefix_closure(use, start, end))  # raises on a cycle
+        log = EventLog.from_traces(traces)
+        use, start, end = use_transform(log)
+        for pc in (prefix_closure(log), prefix_closure(use, start, end)):
+            graph = build_graph(pc)
+            arcs = [(v, w) for v, children in graph.children.items() for w in children]
+            assert arcs
+            for vertex, child in arcs:
+                length = encoding_length(vertex, graph.alphabet)
+                assert encoding_length(child, graph.alphabet) == length + 1
 
 
 def test_seg_dot_marks_pruned(pc_l1_prime, graph_l1_prime):

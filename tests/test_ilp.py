@@ -510,8 +510,8 @@ def test_branching_takes_the_value_nearest_one_half():
     branched, last = [], []
     optimum, fix = ilp._Pending.optimum, ilp._Simplex.fix
 
-    def spy_optimum(self, simplex, live):
-        result = optimum(self, simplex, live)
+    def spy_optimum(self, simplex):
+        result = optimum(self, simplex)
         last[:] = [result[1]]
         return result
 
@@ -541,20 +541,24 @@ def test_branching_takes_the_value_nearest_one_half():
 
 def test_bound_rounds_the_relaxation_up():
     # over (m, x(a), x(b), y(a), y(b)) with a zero objective the costs are
-    # the tie-break weights 16, 8, 4, 2, 1; with y(b) <= y(a) the root LP
-    # is y(a) = y(b) = 1/2 at 3/2, the binary optimum is y(a) = 1 at 2,
-    # and ceil(3/2) = 2 prunes the root once that optimum is the incumbent
+    # the tie-break weights 16, 8, 4, 2, 1. The root LP is x(b) = 1/7,
+    # y(a) = 4/7, y(b) = 2/7 at 2 and branches on y(a); its zero branch
+    # finds the optimum x(b) = 1 at 4. The one branch's LP is x(b) = 1/4,
+    # y(a) = 1, y(b) = 1/2 at 7/2, pruned only because ceil(7/2) = 4; its
+    # floor, 3, would branch on (5 nodes in all)
     cs = ConstraintSystem(
         alphabet=("a", "b"),
-        inequality_rows=(Row(vector=(0, 0, 0, 1, -1), source=(), weight=1),),
+        inequality_rows=(
+            Row(vector=(-2, 0, 0, 1, -2), source=(), weight=1),
+            Row(vector=(0, 0, 2, -1, 1), source=(), weight=1),
+        ),
         equality_rows=(),
         objective=(0,) * 5,
     )
     inst = ILPInstance(system=cs, fixings={})
-    cold = solve(inst)
-    assert cold.assignment == (0, 0, 0, 1, 0) and cold.nodes == 3
-    warm = solve(replace(inst, seeds=(cold.assignment,)))
-    assert warm == cold and warm.nodes == 1
+    result = solve(inst)
+    assert result == brute_force(inst)
+    assert result.assignment == (0, 0, 1, 0, 0) and result.nodes == 3
 
 
 def _warm_and_cold(inst):
@@ -720,6 +724,46 @@ def test_no_bound_becomes_a_row(l1):
     assert set(added) <= body
 
 
+def test_no_row_reaches_add_rows_twice_on_one_path(l1, l1_prime):
+    # a row in a node's tableau has a slack >= 0, so it holds at every
+    # optimum and is never violated again: along one branch-and-bound
+    # path, from the pair's root down, no row reaches add_rows twice
+    branching = random_instance(random.Random(0))
+    instances = [branching]
+    for log in (l1, l1_prime):
+        use, start, end = use_transform(log)
+        cs = build_constraint_system(prefix_closure(use, start, end))
+        instances += _causal_instances(cs)
+    repeated, inherited = [], []
+    copy, add_rows = ilp._Simplex.copy, ilp._Simplex.add_rows
+
+    def tracking_copy(self):
+        # a copy starts from every row its original's path has added
+        twin = copy(self)
+        twin.path_rows = set(getattr(self, "path_rows", ()))
+        twin.from_ancestors = bool(twin.path_rows)
+        return twin
+
+    def tracking_add_rows(self, rows):
+        if self.from_ancestors:
+            inherited.append(rows)
+        for row in rows:
+            if row in self.path_rows:
+                repeated.append(row)
+            self.path_rows.add(row)
+        add_rows(self, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp._Simplex, "copy", tracking_copy)
+        patch.setattr(ilp._Simplex, "add_rows", tracking_add_rows)
+        assert solve(branching).nodes > 1
+        for inst in instances:
+            solve(inst)
+    assert not repeated
+    # children do take rows on top of the rows their ancestors added
+    assert inherited
+
+
 def _fresh_result(call, inst):
     """The call on a copy of the instance's system with nothing compiled."""
     return call(replace(inst, system=replace(inst.system)))
@@ -855,8 +899,8 @@ def test_signed_objectives_match_brute_force(seed, python_ints):
     complete = []
     optimum = ilp._Pending.optimum
 
-    def spy(self, simplex, live):
-        status, point = optimum(self, simplex, live)
+    def spy(self, simplex):
+        status, point = optimum(self, simplex)
         if status == "optimal":
             num, den = point
             values = [sum(c * v for c, v in zip(coefs, num)) for coefs, _ in self.rows]

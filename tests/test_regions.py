@@ -15,6 +15,8 @@ from regionminer.regions import (
     sequence_encoding,
 )
 
+from .util import admissible_pairs
+
 
 @pytest.fixture(scope="module")
 def pc_l1(l1):
@@ -150,14 +152,25 @@ def test_instantiate_rejects_end_source(pc_l1):
 
 
 def test_wrap_seed_is_region(pc_l1_prime):
+    # why every unfiltered pair has a place: route the pair through the
+    # start and end wrappers, self-looping a and b in between
     cs = build_constraint_system(pc_l1_prime)
-    inst = instantiate_causal_ilp(cs, "a", "b")
-    (seed,) = inst.seeds
-    candidate = RegionCandidate.from_vector(seed)
-    ok, violated = check_region(candidate, pc_l1_prime)
-    assert ok, violated
-    # seed honours the fixings
-    assert all(seed[i] == v for i, v in inst.fixings.items())
+    start, end = cs.alphabet[0], cs.alphabet[-1]
+    for a, b in admissible_pairs(pc_l1_prime):
+        incoming = {start, a} | ({b} - {end})
+        outgoing = {end, b} | ({a} - {start})
+        candidate = RegionCandidate(
+            marked=0,
+            incoming=tuple(int(x in incoming) for x in cs.alphabet),
+            outgoing=tuple(int(y in outgoing) for y in cs.alphabet),
+        )
+        ok, violated = check_region(candidate, pc_l1_prime)
+        assert ok, (a, b, violated)
+        vector = candidate.vector()
+        for row in cs.equality_rows:
+            assert sum(c * v for c, v in zip(row.vector, vector)) == 0, (a, b, row)
+        fixings = instantiate_causal_ilp(cs, a, b).fixings
+        assert all(vector[i] == v for i, v in fixings.items()), (a, b)
 
 
 def test_check_region_known_place(pc_l1):
