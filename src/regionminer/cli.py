@@ -75,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate_p = sub.add_parser("evaluate", help="score a PNML net against a log")
     evaluate_p.add_argument("--log", required=True)
+    evaluate_p.add_argument(
+        "--xes", action="store_true", help="read the log as XES instead of trace text"
+    )
     evaluate_p.add_argument("--pnml", required=True)
 
     noise_p = sub.add_parser("noise", help="inject controlled noise into a log")
@@ -136,7 +139,7 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    log = _read_log(args.log, xes=False)
+    log = _read_log(args.log, args.xes)
     wfnet = parse_pnml(Path(args.pnml).read_bytes())
     report = evaluate(wfnet, log)
     sys.stdout.write(report.as_text())

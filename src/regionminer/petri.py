@@ -8,17 +8,22 @@ Replay rule, shared by ``replay`` and the scores in ``quality``:
 ``label_map`` maps each visible label to its one transition, and rejects
 a label the caller will replay that the net lacks and a visible label on
 several transitions. Before each event, and after the last event until
-the final marking, ``silent_walk`` fires the unique enabled silent
+the final marking, the silent walk fires the unique enabled silent
 transition until the goal is met. A walk stops when zero or several
 silents are enabled, and after at most |T| + 1 firings, so a silent
 cycle cannot run forever.
+
+Replay and scoring run on a ``CompiledNet``: places are numbered in
+sorted order and a marking is the sorted tuple of its tokens' place
+indices, one entry per token, so it can key a dict. ``CompiledNet.walk``
+is the one implementation of the silent walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 from xml.sax.saxutils import escape, quoteattr
 import xml.etree.ElementTree as ET
 
@@ -65,7 +70,6 @@ class PetriNet:
         for n in nodes:
             self.preset[n] = frozenset(pre[n])
             self.postset[n] = frozenset(post[n])
-        self.silents = tuple(sorted(t for t in self.transitions if self.labels[t] is None))
 
     def visible_labels(self) -> set[str]:
         return {label for label in self.labels.values() if label is not None}
@@ -147,34 +151,96 @@ def label_map(net: PetriNet, labels: Iterable[str]) -> dict[str, str]:
     return transition_of
 
 
-def silent_walk(
-    net: PetriNet, marking: Marking
-) -> Iterator[tuple[Marking, tuple[str, ...]]]:
-    """Yield ``marking``, then each marking reached by firing the unique
-    enabled silent transition, each with the silents fired to reach it.
-    Stops when zero or several silents are enabled, or after |T| + 1
-    firings."""
-    path: tuple[str, ...] = ()
-    yield marking, path
-    for _ in range(len(net.transitions) + 1):
-        ready = [t for t in net.silents if enabled(net, marking, t)]
-        if len(ready) != 1:
-            return
-        marking = fire(net, marking, ready[0])
-        path += (ready[0],)
-        yield marking, path
+@dataclass(frozen=True)
+class CompiledTransition:
+    """A transition over place indices: the places it needs marked, those
+    it takes a token from (preset minus postset) and puts one on (postset
+    minus preset), and the sizes of its preset and postset, which replay
+    counts as consumed and produced tokens."""
+
+    name: str
+    preset: frozenset[int]
+    consumes: tuple[int, ...]
+    produces: tuple[int, ...]
+    inputs: int
+    outputs: int
+
+    def enabled(self, marking: tuple[int, ...]) -> bool:
+        return self.preset.issubset(marking)
+
+    def fire(
+        self, marking: tuple[int, ...], inserted: tuple[int, ...] = ()
+    ) -> tuple[int, ...]:
+        """The marking after adding the ``inserted`` tokens and firing;
+        the transition must be enabled once they are added."""
+        tokens = [*marking, *inserted]
+        for place in self.consumes:
+            tokens.remove(place)
+        tokens += self.produces
+        tokens.sort()
+        return tuple(tokens)
 
 
-def walk_until(
-    net: PetriNet, marking: Marking, goal: Callable[[Marking], bool]
-) -> tuple[Marking, tuple[str, ...], bool]:
-    """The first marking of the silent walk that meets ``goal`` (else the
-    walk's last one), the silents fired to reach it, and whether it meets
-    ``goal``."""
-    for marking, path in silent_walk(net, marking):
-        if goal(marking):
-            return marking, path, True
-    return marking, path, False
+Walk = list[tuple[tuple[int, ...], tuple[CompiledTransition, ...]]]
+
+
+class CompiledNet:
+    """A net numbered for replay: ``places`` in sorted order, and one
+    ``CompiledTransition`` per transition name."""
+
+    def __init__(self, net: PetriNet):
+        self.places = tuple(sorted(net.places))
+        self.index = {place: i for i, place in enumerate(self.places)}
+        self.transitions: dict[str, CompiledTransition] = {}
+        for t in sorted(net.transitions):
+            pre, post = net.preset[t], net.postset[t]
+            self.transitions[t] = CompiledTransition(
+                name=t,
+                preset=frozenset(self.index[p] for p in pre),
+                consumes=tuple(sorted(self.index[p] for p in pre - post)),
+                produces=tuple(sorted(self.index[p] for p in post - pre)),
+                inputs=len(pre),
+                outputs=len(post),
+            )
+        self.silents = tuple(
+            c for t, c in self.transitions.items() if net.labels[t] is None
+        )
+        self.hops = len(net.transitions) + 1
+
+    def encode(self, marking: Marking) -> tuple[int, ...]:
+        return tuple(
+            sorted(self.index[p] for p, count in marking.items() for _ in range(count))
+        )
+
+    def decode(self, marking: tuple[int, ...]) -> Marking:
+        bag: Marking = {}
+        for i in marking:
+            bag[self.places[i]] = bag.get(self.places[i], 0) + 1
+        return bag
+
+    def walk(self, marking: tuple[int, ...]) -> Walk:
+        """``marking``, then each marking reached by firing the unique
+        enabled silent transition, each with the silents fired to reach
+        it. Stops when zero or several silents are enabled, or after
+        |T| + 1 firings."""
+        path: tuple[CompiledTransition, ...] = ()
+        walk = [(marking, path)]
+        for _ in range(self.hops):
+            ready = [t for t in self.silents if t.enabled(marking)]
+            if len(ready) != 1:
+                break
+            marking = ready[0].fire(marking)
+            path += (ready[0],)
+            walk.append((marking, path))
+        return walk
+
+
+def first_step(
+    walk: Walk, goal: Callable[[tuple[int, ...]], bool]
+) -> tuple[tuple[int, ...], tuple[CompiledTransition, ...]]:
+    """The first marking of ``walk`` that meets ``goal`` (else its last),
+    with the silents fired to reach it."""
+    return next((step for step in walk if goal(step[0])), walk[-1])
 
 
 def replay(wfnet: WorkflowNet, trace: Trace) -> ReplayResult:
@@ -188,24 +254,24 @@ def replay(wfnet: WorkflowNet, trace: Trace) -> ReplayResult:
     of the event that could not fire (the trace length when the end was
     not reached), and ``fired`` lists only transitions that did fire.
     """
-    net = wfnet.net
-    transition_of = label_map(net, trace)
-    marking = wfnet.initial_marking()
+    transition_of = label_map(wfnet.net, trace)
+    net = CompiledNet(wfnet.net)
+    marking = net.encode(wfnet.initial_marking())
     fired: list[str] = []
     for index, label in enumerate(trace):
-        transition = transition_of[label]
-        marking, path, ready = walk_until(
-            net, marking, lambda m: enabled(net, m, transition)
-        )
-        fired += path
-        if not ready:
-            return ReplayResult(False, index, marking, tuple(fired))
-        marking = fire(net, marking, transition)
-        fired.append(transition)
-    final = wfnet.final_marking()
-    marking, path, ok = walk_until(net, marking, lambda m: m == final)
-    fired += path
-    return ReplayResult(ok, None if ok else len(trace), marking, tuple(fired))
+        transition = net.transitions[transition_of[label]]
+        marking, path = first_step(net.walk(marking), transition.enabled)
+        fired += (t.name for t in path)
+        if not transition.enabled(marking):
+            return ReplayResult(False, index, net.decode(marking), tuple(fired))
+        marking = transition.fire(marking)
+        fired.append(transition.name)
+    final = net.encode(wfnet.final_marking())
+    marking, path = first_step(net.walk(marking), final.__eq__)
+    fired += (t.name for t in path)
+    ok = marking == final
+    blocked_at = None if ok else len(trace)
+    return ReplayResult(ok, blocked_at, net.decode(marking), tuple(fired))
 
 
 def is_wf_net(net: PetriNet, source: str, sink: str) -> tuple[bool, list[str]]:

@@ -1,13 +1,19 @@
 """Scoring discovered nets and injecting controlled noise into logs.
 
 Fitness is token-based replay with missing-token insertion; precision is
-an escaping-edges measure. Both come from one pass over the log's sorted
-prefix tree that keeps one replay state per prefix, derived from its
-parent's by the rule stated in ``petri`` (label check, silent walk, hop
-bound). Precision counts the prefixes where nothing was inserted; a full
-trace's end step is taken on the same silent walk. Both scores are
+an escaping-edges measure. Both come from one pass over the log's prefix
+tree that keeps one replay state per prefix, derived from its parent's
+by the rule stated in ``petri`` (label check, silent walk, hop bound).
+Precision counts the prefixes where nothing was inserted; a full trace's
+end step is taken on the same silent walk. Both scores are
 multiplicity-weighted, live in [0, 1] and are invariant under scaling all
 multiplicities by the same factor.
+
+Many prefixes reach the same marking, so ``evaluate`` compiles the net
+once and keeps a memo for the length of one call: per distinct marking
+its silent walk, its allowed labels, its step for each label that follows
+it in the log, and its end step. A prefix whose marking was seen before
+costs dict lookups.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .eventlog import EventLog, Trace, prefix_closure
-from .petri import WorkflowNet, enabled, fire, label_map, silent_walk
+from .petri import CompiledNet, WorkflowNet, first_step, label_map
 
 
 @dataclass(frozen=True)
@@ -49,59 +55,121 @@ def _precision(escaping_mass: int, allowed_mass: int) -> float:
     return 1.0 - escaping_mass / allowed_mass
 
 
+class _Memo(dict):
+    """A dict that computes a missing value from its key, once."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _marking_memos(wfnet: WorkflowNet, transition_of: dict[str, str]):
+    """The initial marking of ``wfnet`` compiled, and three memos over
+    compiled markings for one ``evaluate`` call: the step of each label
+    from each marking, each marking's allowed labels and its end step.
+    They share one memo of silent walks, and nothing refers back to them,
+    so they are freed when the call returns."""
+    net = CompiledNet(wfnet.net)
+    transitions = {a: net.transitions[t] for a, t in transition_of.items()}
+    final = net.encode(wfnet.final_marking())
+    sink = net.index[wfnet.sink]
+    walks = _Memo(net.walk)
+    interned: dict[frozenset[str], frozenset[str]] = {}
+
+    def step(key: tuple[tuple, str]) -> tuple[tuple, int, int, int]:
+        """Fire a label from the first walk marking that enables it, else
+        from the last with its empty input places filled: the next marking
+        and the tokens produced, consumed and inserted on the way."""
+        marking, label = key
+        t = transitions[label]
+        start, path = first_step(walks[marking], t.enabled)
+        inserted = tuple(t.preset.difference(start))
+        fired = path + (t,)
+        return (
+            t.fire(start, inserted),
+            sum(u.outputs for u in fired),
+            sum(u.inputs for u in fired),
+            len(inserted),
+        )
+
+    def allowed(marking: tuple) -> frozenset[str]:
+        """The visible labels enabled anywhere on the walk; equal sets are
+        stored once."""
+        walk = walks[marking]
+        labels = frozenset(
+            a for a, t in transitions.items() if any(t.enabled(m) for m, _ in walk)
+        )
+        return interned.setdefault(labels, labels)
+
+    def end(marking: tuple) -> tuple[int, int, int, int]:
+        """Walk to the first marking equal to the final one, else the
+        last: the tokens produced, consumed (with the sink token when
+        there is one) and missing (one when there is none) on the way,
+        and those left over."""
+        last, path = first_step(walks[marking], final.__eq__)
+        ends = sink in last
+        return (
+            sum(u.outputs for u in path),
+            sum(u.inputs for u in path) + ends,
+            int(not ends),
+            len(last) - ends,
+        )
+
+    initial = net.encode(wfnet.initial_marking())
+    return initial, _Memo(step), _Memo(allowed), _Memo(end)
+
+
 def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
     """Fitness, precision and the underlying replay counters, from one
     token-insertion replay of every prefix of the log.
 
     Each prefix's state (marking, and tokens produced, consumed and
-    inserted so far) is its parent's advanced by one event; sorting puts
-    every parent before its children. One silent walk from a prefix's
-    marking serves all of its children (the first marking that enables
-    the event, else the last with its empty input places filled), its
-    allowed labels, and, for a full trace, the end step (the first
-    marking equal to the final one, else the last)."""
+    inserted so far) is its parent's advanced by one event's memoised
+    step. Precision weighs each prefix replayed without insertion by the
+    labels allowed on its walk that no child takes; each full trace adds
+    its end step to the fitness totals."""
     if log.is_empty():
         raise ValueError("cannot score an empty log")
-    net = wfnet.net
-    transition_of = label_map(net, log.alphabet)
-    final = wfnet.final_marking()
+    initial, steps, allowed_labels, ends = _marking_memos(
+        wfnet, label_map(wfnet.net, log.alphabet)
+    )
     pc = prefix_closure(log)
-    states = {(): (wfnet.initial_marking(), 1, 0, 0)}  # 1: the source token
     totals = [0, 0, 0, 0]  # produced, consumed, missing, remaining
     replayed = blocked = escaping_mass = allowed_mass = 0
+    # sorting puts every prefix right after the path of prefixes leading
+    # to it, so ancestors[i] holds the state of its prefix of length i
+    ancestors: list[tuple] = []
     for prefix, weight in sorted(pc.entries.items()):
-        marking, produced, consumed, missing = states.pop(prefix)
-        walk = list(silent_walk(net, marking))
-        used = {a for a in pc.alphabet if prefix + (a,) in pc.entries}
-        for a in used:
-            t = transition_of[a]
-            marking, path = next(((m, p) for m, p in walk if enabled(net, m, t)), walk[-1])
-            empty = net.preset[t] - marking.keys()
-            fired = path + (t,)
-            states[prefix + (a,)] = (
-                fire(net, {**marking, **dict.fromkeys(empty, 1)}, t),
-                produced + sum(len(net.postset[u]) for u in fired),
-                consumed + sum(len(net.preset[u]) for u in fired),
-                missing + len(empty),
+        del ancestors[len(prefix) :]
+        if prefix:
+            marking, produced, consumed, missing, parent_allowed, parent_weight = (
+                ancestors[-1]
             )
-        if not missing:  # precision looks only at prefixes replayed as they are
-            allowed = {
-                label
-                for m, _ in walk
-                for label, t in transition_of.items()
-                if enabled(net, m, t)
-            }
-            escaping_mass += weight * len(allowed - used)
-            allowed_mass += weight * len(allowed)
+            if prefix[-1] in parent_allowed:  # the log takes it: it does not escape
+                escaping_mass -= parent_weight
+            marking, more_produced, more_consumed, inserted = steps[marking, prefix[-1]]
+            produced += more_produced
+            consumed += more_consumed
+            missing += inserted
+        else:
+            marking, produced, consumed, missing = initial, 1, 0, 0  # the source token
+        # precision looks only at prefixes replayed as they are
+        allowed = allowed_labels[marking] if not missing else frozenset()
+        escaping_mass += weight * len(allowed)
+        allowed_mass += weight * len(allowed)
+        ancestors.append((marking, produced, consumed, missing, allowed, weight))
         mult = log.traces.get(prefix)
         if mult:
-            marking, path = next(((m, p) for m, p in walk if m == final), walk[-1])
-            ends = marking.get(wfnet.sink, 0) > 0
+            more_produced, more_consumed, more_missing, remaining = ends[marking]
             counts = (
-                produced + sum(len(net.postset[u]) for u in path),
-                consumed + sum(len(net.preset[u]) for u in path) + ends,
-                missing + (not ends),
-                sum(marking.values()) - ends,
+                produced + more_produced,
+                consumed + more_consumed,
+                missing + more_missing,
+                remaining,
             )
             totals = [total + mult * count for total, count in zip(totals, counts)]
             if counts[2:] == (0, 0):  # no missing and no remaining tokens

@@ -335,6 +335,19 @@ def test_convert_xes(workspace):
     assert log.traces == {("a", "b", "c"): 2, ("a", "b"): 1}
 
 
+def test_evaluate_reads_xes_like_its_converted_log(workspace, capsys):
+    xes, log, pnml = workspace / "small.xes", workspace / "s.log", workspace / "s.pnml"
+    args = ["discover", "--xes", "--log", str(xes), "--no-filter", "--out-pnml"]
+    assert main([*args, str(pnml)]) == 0
+    assert main(["convert", "--xes", str(xes), "--out", str(log)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--xes", "--log", str(xes), "--pnml", str(pnml)]) == 0
+    from_xes = capsys.readouterr().out
+    assert from_xes.startswith("fitness=")
+    assert main(["evaluate", "--log", str(log), "--pnml", str(pnml)]) == 0
+    assert capsys.readouterr().out == from_xes
+
+
 _EMPTY_TRACE_XES = (
     b'<log><trace/><trace><event><string key="concept:name" value="a"/></event>'
     b'<event><string key="concept:name" value="b"/></event></trace></log>'

@@ -14,6 +14,8 @@ from regionminer.quality import (
     token_fitness,
 )
 
+from .util import oracle_evaluate
+
 
 @pytest.fixture(scope="module")
 def l1_net(l1):
@@ -104,6 +106,35 @@ def _report(fitness, precision, replayed, blocked, escaping, allowed):
 )
 def test_evaluate_pins_the_full_report(net, traces, expected, request):
     assert evaluate(request.getfixturevalue(net), EventLog(traces=traces)) == expected
+
+
+def test_evaluate_inserts_into_an_empty_self_loop_place():
+    # tb reads s and puts its token back; nothing ever marks s, so every
+    # tb fires on an inserted token, which then stays on s to the end
+    net = PetriNet(
+        ["i", "p", "s", "o"],
+        ["ta", "tb"],
+        [("i", "ta"), ("ta", "p"), ("p", "tb"), ("s", "tb"), ("tb", "s"), ("tb", "o")],
+        {"ta": "a", "tb": "b"},
+    )
+    wfnet = WorkflowNet(net=net, source="i", sink="o")
+    log = EventLog(traces={("a", "b"): 2, ("a",): 1, ("b",): 1})
+    # <a, b>: 4 produced, 4 consumed, s inserted and left over. <a>: p
+    # left over, no sink token. <b>: p and s inserted, i and s left over.
+    # Totals 13 produced, 12 consumed, 5 missing, 5 remaining; only the
+    # root replays as it is, and allows just a.
+    expected = _report(0.5 * (1 - 5 / 12) + 0.5 * (1 - 5 / 13), 1.0, 0, 4, 0, 4)
+    assert evaluate(wfnet, log) == expected
+
+
+def test_evaluate_runs_on_the_compiled_net(l1_prime, l1_net, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluate tested a dict marking")
+
+    monkeypatch.setattr("regionminer.petri.enabled", refuse)
+    counts = evaluate(l1_net, l1_prime).counts
+    keys = ("replayed_traces", "blocked_traces", "escaping_mass", "allowed_mass")
+    assert tuple(counts[key] for key in keys) == _EVALUATE_COUNTS["l1_prime"]
 
 
 @pytest.mark.parametrize("score", [evaluate, token_fitness, escaping_edges_precision])
@@ -216,6 +247,37 @@ def test_evaluate_agrees_with_replay_on_noisy_logs(log_and_seed):
     )
     assert counts["replayed_traces"] + counts["blocked_traces"] == noisy.total_instances
     assert 0 <= counts["escaping_mass"] <= counts["allowed_mass"]
+
+
+@st.composite
+def _nets_and_logs(draw):
+    """A random net of up to six transitions on five places, each with
+    any preset and postset (the empty preset too) and a silent or a
+    unique visible label, sometimes with a two-silent cycle added; and a
+    log over its visible labels."""
+    places = ["i", "o", "p", "q", "r"]
+    arcs, labels = [], {}
+    for index in range(draw(st.integers(1, 6))):
+        t = f"t{index}"
+        arcs += [(p, t) for p in draw(st.sets(st.sampled_from(places), max_size=3))]
+        arcs += [(t, p) for p in draw(st.sets(st.sampled_from(places), max_size=3))]
+        labels[t] = draw(st.sampled_from([None, "abcdef"[index]]))
+    if draw(st.booleans()):
+        first, second = draw(st.lists(st.sampled_from(places), min_size=2, max_size=2))
+        arcs += [(first, "s0"), ("s0", second), (second, "s1"), ("s1", first)]
+        labels.update(s0=None, s1=None)
+    net = PetriNet(places, labels, arcs, labels)
+    visible = sorted(net.visible_labels())
+    trace = st.lists(st.sampled_from(visible), max_size=6) if visible else st.just([])
+    pairs = draw(st.lists(st.tuples(trace, st.integers(1, 4)), min_size=1, max_size=5))
+    return WorkflowNet(net=net, source="i", sink="o"), EventLog.from_pairs(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets_and_logs())
+def test_evaluate_equals_the_reference_scorer(net_and_log):
+    wfnet, log = net_and_log
+    assert evaluate(wfnet, log) == oracle_evaluate(wfnet, log)
 
 
 def test_inject_noise_level_zero_is_identity(l1):

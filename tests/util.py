@@ -5,6 +5,8 @@ import string
 
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.filtering import build_graph, make_kappa_max, sef_bfs
+from regionminer.petri import enabled, fire, label_map
+from regionminer.quality import QualityReport
 from regionminer.regions import build_constraint_system, instantiate_causal_ilp
 
 
@@ -60,3 +62,89 @@ def random_instance(rng: random.Random):
     )
     a, b = rng.choice(admissible_pairs(pc))
     return instantiate_causal_ilp(cs, a, b)
+
+
+def _oracle_silent_walk(net, marking):
+    """The replay rule's silent walk on dict markings: ``marking``, then
+    each marking reached by firing the unique enabled silent transition,
+    each with the silents fired so far; at most |T| + 1 firings."""
+    silents = sorted(t for t in net.transitions if net.labels[t] is None)
+    path = ()
+    yield marking, path
+    for _ in range(len(net.transitions) + 1):
+        ready = [t for t in silents if enabled(net, marking, t)]
+        if len(ready) != 1:
+            return
+        marking = fire(net, marking, ready[0])
+        path += (ready[0],)
+        yield marking, path
+
+
+def oracle_evaluate(wfnet, log) -> QualityReport:
+    """Reference scorer: ``quality.evaluate`` without the compiled net or
+    the per-marking memo. Every prefix's state is derived from its
+    parent's on dict markings, and every walk, allowed-label set and
+    enabling test is computed afresh."""
+    net = wfnet.net
+    transition_of = label_map(net, log.alphabet)
+    final = wfnet.final_marking()
+    pc = prefix_closure(log)
+    states = {(): (wfnet.initial_marking(), 1, 0, 0)}  # 1: the source token
+    totals = [0, 0, 0, 0]  # produced, consumed, missing, remaining
+    replayed = blocked = escaping_mass = allowed_mass = 0
+    for prefix, weight in sorted(pc.entries.items()):
+        marking, produced, consumed, missing = states.pop(prefix)
+        walk = list(_oracle_silent_walk(net, marking))
+        used = {a for a in pc.alphabet if prefix + (a,) in pc.entries}
+        for a in used:
+            t = transition_of[a]
+            marking, path = next(((m, p) for m, p in walk if enabled(net, m, t)), walk[-1])
+            empty = net.preset[t] - marking.keys()
+            fired = path + (t,)
+            states[prefix + (a,)] = (
+                fire(net, {**marking, **dict.fromkeys(empty, 1)}, t),
+                produced + sum(len(net.postset[u]) for u in fired),
+                consumed + sum(len(net.preset[u]) for u in fired),
+                missing + len(empty),
+            )
+        if not missing:
+            allowed = {
+                label
+                for m, _ in walk
+                for label, t in transition_of.items()
+                if enabled(net, m, t)
+            }
+            escaping_mass += weight * len(allowed - used)
+            allowed_mass += weight * len(allowed)
+        mult = log.traces.get(prefix)
+        if mult:
+            marking, path = next(((m, p) for m, p in walk if m == final), walk[-1])
+            ends = marking.get(wfnet.sink, 0) > 0
+            counts = (
+                produced + sum(len(net.postset[u]) for u in path),
+                consumed + sum(len(net.preset[u]) for u in path) + ends,
+                missing + (not ends),
+                sum(marking.values()) - ends,
+            )
+            totals = [total + mult * count for total, count in zip(totals, counts)]
+            if counts[2:] == (0, 0):
+                replayed += mult
+            else:
+                blocked += mult
+    produced, consumed, missing, remaining = totals
+    fitness = 0.0
+    if consumed > 0:
+        fitness += 0.5 * max(0.0, 1.0 - missing / consumed)
+    if produced > 0:
+        fitness += 0.5 * max(0.0, 1.0 - remaining / produced)
+    precision = 1.0 if allowed_mass == 0 else 1.0 - escaping_mass / allowed_mass
+    return QualityReport(
+        fitness=fitness,
+        precision=precision,
+        counts={
+            "replayed_traces": replayed,
+            "blocked_traces": blocked,
+            "escaping_mass": escaping_mass,
+            "allowed_mass": allowed_mass,
+        },
+    )
