@@ -3,19 +3,24 @@
 Builds a directed graph of likely activity causalities from weighted
 directly-follows counts, then repairs it so that every activity lies on a
 path from the start activity to the end activity. That structural property
-is what lets the discovery layer guarantee a workflow net.
+is what lets the discovery layer guarantee a workflow net. Repair runs
+one growth rule twice: on the graph from the start, then on its reverse
+(arcs and counts reversed) from the end. Arc weights are not stored; the
+directly-follows counts determine them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .dot import quote
 from .errors import GraphRepairError
 from .eventlog import EventLog, is_use_log
 
 Arc = tuple[str, str]
+
+DEFAULT_DEPENDENCY_THRESHOLD = 0.9
 
 
 def directly_follows(log: EventLog) -> dict[Arc, int]:
@@ -45,14 +50,18 @@ class CausalGraph:
 
     vertices: frozenset[str]
     arcs: frozenset[Arc]
-    weights: Mapping[Arc, float]
     start: str
     end: str
     df: Mapping[Arc, int]
 
+    @property
+    def weights(self) -> dict[Arc, float]:
+        """The dependency score of every arc."""
+        return {(a, b): dependency(a, b, self.df) for a, b in self.arcs}
+
 
 def build_causal_graph(
-    log: EventLog, start: str, end: str, threshold: float = 0.9
+    log: EventLog, start: str, end: str, threshold: float = DEFAULT_DEPENDENCY_THRESHOLD
 ) -> CausalGraph:
     """Keep every pair whose dependency score reaches ``threshold``.
 
@@ -63,32 +72,29 @@ def build_causal_graph(
         raise ValueError("causal graph requires a unique-start/end log")
     df = directly_follows(log)
     arcs: set[Arc] = set()
-    weights: dict[Arc, float] = {}
     for a in log.alphabet:
         for b in log.alphabet:
             if b == start or a == end:
                 continue
-            score = dependency(a, b, df)
-            if score >= threshold:
+            if dependency(a, b, df) >= threshold:
                 arcs.add((a, b))
-                weights[(a, b)] = score
     return CausalGraph(
         vertices=frozenset(log.alphabet),
         arcs=frozenset(arcs),
-        weights=weights,
         start=start,
         end=end,
         df=df,
     )
 
 
-def _reachable(vertices, arcs, source, forward=True):
+def _reversed(arcs: Iterable[Arc]) -> set[Arc]:
+    return {(b, a) for a, b in arcs}
+
+
+def _reachable(vertices, arcs, source):
     adjacency: dict[str, list[str]] = {v: [] for v in vertices}
     for a, b in arcs:
-        if forward:
-            adjacency[a].append(b)
-        else:
-            adjacency[b].append(a)
+        adjacency[a].append(b)
     seen = {source}
     stack = [source]
     while stack:
@@ -108,8 +114,8 @@ def validate_path_property(graph: CausalGraph) -> tuple[bool, list[str]]:
             violations.append(f"arc into start: {a}->{b}")
         if a == graph.end:
             violations.append(f"arc out of end: {a}->{b}")
-    forward = _reachable(graph.vertices, graph.arcs, graph.start, forward=True)
-    backward = _reachable(graph.vertices, graph.arcs, graph.end, forward=False)
+    forward = _reachable(graph.vertices, graph.arcs, graph.start)
+    backward = _reachable(graph.vertices, _reversed(graph.arcs), graph.end)
     for v in sorted(graph.vertices):
         if v not in forward or v not in backward:
             violations.append(v)
@@ -120,61 +126,54 @@ def _contact(df: Mapping[Arc, int], u: str, v: str) -> bool:
     return df.get((u, v), 0) > 0 or df.get((v, u), 0) > 0
 
 
+def _connect(vertices, arcs, df, anchor, barrier) -> set[Arc]:
+    """``arcs`` grown until ``anchor`` reaches every vertex: each round
+    adds one arc to the first unreachable vertex in sorted order with
+    directly-follows contact, from its best-scoring reachable partner
+    (lowest name on ties) other than ``barrier``."""
+    arcs = set(arcs)
+    while True:
+        connected = _reachable(vertices, arcs, anchor)
+        missing = sorted(vertices - connected)
+        if not missing:
+            return arcs
+        for v in missing:
+            candidates = []
+            for u in sorted(connected):
+                if u == barrier:
+                    continue
+                if not _contact(df, u, v):
+                    continue
+                candidates.append((dependency(u, v, df), u))
+            if not candidates:
+                continue
+            best_score = max(score for score, _ in candidates)
+            partner = min(u for score, u in candidates if score == best_score)
+            arcs.add((partner, v))
+            break
+        else:
+            raise GraphRepairError(
+                f"cannot connect vertex {missing[0]!r}: no directly-follows "
+                "contact with the connected part"
+            )
+
+
 def repair_for_path_property(graph: CausalGraph) -> CausalGraph:
     """Add arcs until every vertex lies on a start-to-end path.
 
-    Each vertex not reachable from the start gets one arc from the
-    reachable side, chosen by maximum dependency score with lexicographic
-    tie-breaking; vertices that cannot reach the end are handled
-    symmetrically. Existing arcs are never removed. Raises
-    GraphRepairError when a vertex has no directly-follows contact with
-    the connected part.
+    Growing from the start connects every vertex the start cannot reach;
+    the same rule on the reversed graph, growing from the end, connects
+    every vertex that cannot reach the end. Existing arcs are never
+    removed. Raises GraphRepairError when a vertex has no directly-follows
+    contact with the connected part.
     """
-    arcs = set(graph.arcs)
-
-    def grow(forward: bool):
-        while True:
-            anchor = graph.start if forward else graph.end
-            connected = _reachable(graph.vertices, arcs, anchor, forward=forward)
-            missing = sorted(graph.vertices - connected)
-            if not missing:
-                return
-            progress = False
-            for v in missing:
-                candidates = []
-                for u in sorted(connected):
-                    if forward and (u == graph.end or v == graph.start):
-                        continue
-                    if not forward and (u == graph.start or v == graph.end):
-                        continue
-                    if not _contact(graph.df, u, v):
-                        continue
-                    score = (
-                        dependency(u, v, graph.df)
-                        if forward
-                        else dependency(v, u, graph.df)
-                    )
-                    candidates.append((score, u))
-                if not candidates:
-                    continue
-                best_score = max(score for score, _ in candidates)
-                partner = min(u for score, u in candidates if score == best_score)
-                arcs.add((partner, v) if forward else (v, partner))
-                progress = True
-                break
-            if not progress:
-                raise GraphRepairError(
-                    f"cannot connect vertex {missing[0]!r}: no directly-follows "
-                    "contact with the connected part"
-                )
-
-    grow(forward=True)
-    grow(forward=False)
-
-    weights = dict(graph.weights)
-    for arc in arcs - graph.arcs:
-        weights[arc] = dependency(arc[0], arc[1], graph.df)
-    repaired = replace(graph, arcs=frozenset(arcs), weights=weights)
+    arcs = _connect(graph.vertices, graph.arcs, graph.df, graph.start, graph.end)
+    # dependency(u, v, reverse_df) computes dependency(v, u, graph.df)
+    reverse_df = {(b, a): count for (a, b), count in graph.df.items()}
+    reverse_arcs = _connect(
+        graph.vertices, _reversed(arcs), reverse_df, graph.end, graph.start
+    )
+    repaired = replace(graph, arcs=frozenset(_reversed(reverse_arcs)))
     ok, violations = validate_path_property(repaired)
     if not ok:
         raise GraphRepairError(f"repair left violations: {violations}")
@@ -187,7 +186,7 @@ def causal_graph_dot(graph: CausalGraph) -> str:
     for v in sorted(graph.vertices):
         lines.append(f"  {quote(v)};")
     for a, b in sorted(graph.arcs):
-        weight = graph.weights.get((a, b), 0.0)
+        weight = dependency(a, b, graph.df)
         lines.append(f'  {quote(a)} -> {quote(b)} [label="{weight:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .causal import causal_graph_dot
+from .causal import DEFAULT_DEPENDENCY_THRESHOLD, causal_graph_dot
 from .discovery import DiscoveryOptions, run_discovery
 from .errors import RegionMinerError
 from .eventlog import EventLog, parse_trace_log, parse_xes, serialize_trace_log
@@ -45,8 +45,8 @@ def _add_discovery_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dependency-threshold",
         type=float,
-        default=0.9,
-        help="minimum dependency score for a causal arc (default 0.9)",
+        default=DEFAULT_DEPENDENCY_THRESHOLD,
+        help="minimum dependency score for a causal arc (default %(default)s)",
     )
 
 
@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-levels", required=True, help="comma-separated noise levels"
     )
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--dependency-threshold", type=float, default=0.9)
+    sweep_p.add_argument(
+        "--dependency-threshold", type=float, default=DEFAULT_DEPENDENCY_THRESHOLD
+    )
 
     convert_p = sub.add_parser("convert", help="convert an XES log to trace text")
     convert_p.add_argument("--xes", required=True)

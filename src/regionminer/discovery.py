@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import ilp
-from .causal import CausalGraph, build_causal_graph, repair_for_path_property
+from .causal import (
+    DEFAULT_DEPENDENCY_THRESHOLD,
+    CausalGraph,
+    build_causal_graph,
+    repair_for_path_property,
+)
 from .eventlog import EventLog, PrefixClosure, prefix_closure, use_transform
 from .filtering import SequenceEncodingGraph, build_graph, make_kappa_max, sef_bfs
 from .petri import PetriNet, WorkflowNet
@@ -36,7 +41,7 @@ Solver = Callable[[object], ilp.Solution]
 @dataclass(frozen=True)
 class DiscoveryOptions:
     alpha: float | None = None  # None switches the frequency filter off
-    dependency_threshold: float = 0.9
+    dependency_threshold: float = DEFAULT_DEPENDENCY_THRESHOLD
     solver: Solver | None = None
 
     def __post_init__(self):

@@ -88,9 +88,10 @@ def parse_trace_log(text: str) -> EventLog:
 
     Each non-blank, non-comment line is ``<count>;<act> <act> ...`` or
     ``<act> <act> ...`` (count defaults to 1). ``#`` starts a comment line.
-    Duplicate lines are bag-summed.
+    Duplicate lines are bag-summed. A leading byte-order mark is ignored.
     """
     bag: dict[Trace, int] = {}
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

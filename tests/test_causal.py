@@ -14,6 +14,8 @@ from regionminer.causal import (
 from regionminer.errors import GraphRepairError
 from regionminer.eventlog import EventLog, use_transform
 
+from .util import oracle_repair
+
 
 @pytest.fixture(scope="module")
 def use_l1(l1):
@@ -105,7 +107,6 @@ def _tiny_graph(arcs, df):
     return CausalGraph(
         vertices=frozenset({"s", "x", "e"}),
         arcs=frozenset(arcs),
-        weights={},
         start="s",
         end="e",
         df=df,
@@ -156,6 +157,37 @@ def test_repair_never_removes_arcs_and_validates(use_l1):
     assert graph.arcs <= repaired.arcs
     ok, violations = validate_path_property(repaired)
     assert ok, violations
+
+
+def test_repair_backward_pass_attaches_vertex_to_end():
+    # the start reaches x, but x reaches the end only through an added arc
+    graph = _tiny_graph({("s", "x"), ("s", "e")}, {("s", "x"): 1, ("x", "e"): 1})
+    repaired = repair_for_path_property(graph)
+    assert repaired.arcs == {("s", "x"), ("s", "e"), ("x", "e")}
+
+
+def test_repair_backward_pass_errors_on_vertex_without_end_contact():
+    graph = _tiny_graph({("s", "x"), ("s", "e")}, {("s", "x"): 1})
+    with pytest.raises(GraphRepairError, match="cannot connect vertex 'x'"):
+        repair_for_path_property(graph)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from("abcde"), min_size=1, max_size=5),
+            st.integers(min_value=1, max_value=9),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
+)
+def test_repair_matches_two_direction_oracle(pairs, threshold):
+    log, start, end = use_transform(EventLog.from_pairs(pairs))
+    graph = build_causal_graph(log, start, end, threshold=threshold)
+    repaired = repair_for_path_property(graph)
+    assert (repaired.arcs, repaired.weights) == oracle_repair(graph)
 
 
 def test_repair_errors_on_contactless_vertex():

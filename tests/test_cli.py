@@ -1,12 +1,16 @@
+import shlex
 import shutil
 
 import pytest
 
-from regionminer.cli import main
+from regionminer.cli import build_parser, main
+from regionminer.discovery import DiscoveryOptions
 from regionminer.eventlog import parse_trace_log
 from regionminer.petri import parse_pnml
 
 from .conftest import DATA
+
+ROOT = DATA.parent.parent
 
 
 @pytest.fixture()
@@ -433,3 +437,62 @@ def test_emitted_seg_and_rows_match_golden_files(
     ]
     assert main(args) == 0
     assert (workspace / emitted).read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_byte_order_mark_is_ignored(workspace):
+    text = b"10;a b d e g\n12;a c d e f d b e g\n"
+    (workspace / "plain.log").write_bytes(text)
+    (workspace / "marked.log").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "marked"):
+        args = ["discover", "--log", str(workspace / f"{name}.log"), "--no-filter"]
+        assert main([*args, "--out-pnml", str(workspace / f"{name}.pnml")]) == 0
+    assert (workspace / "marked.pnml").read_bytes() == (
+        workspace / "plain.pnml"
+    ).read_bytes()
+
+
+def test_repaired_causal_graph_and_net_match_golden_files(workspace):
+    # no pair of l1 scores 0.99, so repair supplies all 13 arcs: 9 growing
+    # from the start, then 4 growing from the end
+    args = [
+        "discover",
+        "--log",
+        str(workspace / "l1.log"),
+        "--no-filter",
+        "--dependency-threshold",
+        "0.99",
+        "--emit-causal-dot",
+        str(workspace / "causal.dot"),
+        "--out-pnml",
+        str(workspace / "net.pnml"),
+    ]
+    assert main(args) == 0
+    for emitted, golden in (
+        ("causal.dot", "l1_threshold_0.99.causal.dot"),
+        ("net.pnml", "l1_threshold_0.99.pnml"),
+    ):
+        assert (workspace / emitted).read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_discover_and_sweep_default_to_the_library_threshold():
+    parser = build_parser()
+    discover = parser.parse_args(["discover", "--log", "x", "--out-pnml", "y"])
+    sweep = parser.parse_args(
+        ["sweep", "--log", "x", "--alphas", "1", "--noise-levels", "0"]
+    )
+    expected = DiscoveryOptions().dependency_threshold
+    assert discover.dependency_threshold == sweep.dependency_threshold == expected
+
+
+def test_readme_sweep_example_reproduces(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text().splitlines()
+    command = next(
+        line for line in readme if line.startswith("regionminer sweep --log tests/")
+    )
+    header = readme.index("noise,alpha,fitness,precision,wall_ms")
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command)[1:]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for got, shown in zip(lines, readme[header : header + 3]):
+        assert got.split(",")[:-1] == shown.split(",")[:-1]

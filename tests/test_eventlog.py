@@ -39,6 +39,11 @@ def test_parse_sums_duplicate_lines():
     assert log.traces == {("a", "b"): 3}
 
 
+@pytest.mark.parametrize("text", ["a b\n", "10;a b\n"])
+def test_parse_ignores_a_leading_byte_order_mark(text):
+    assert parse_trace_log("\ufeff" + text) == parse_trace_log(text)
+
+
 def test_parse_count_defaults_to_one():
     log = parse_trace_log("a b c")
     assert log.traces == {("a", "b", "c"): 1}

@@ -3,6 +3,8 @@
 import random
 import string
 
+from regionminer.causal import dependency
+from regionminer.errors import GraphRepairError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.filtering import build_graph, make_kappa_max, sef_bfs
 from regionminer.petri import enabled, fire, label_map
@@ -62,6 +64,75 @@ def random_instance(rng: random.Random):
     )
     a, b = rng.choice(admissible_pairs(pc))
     return instantiate_causal_ilp(cs, a, b)
+
+
+def _oracle_reachable(vertices, arcs, source, forward=True):
+    adjacency: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in arcs:
+        if forward:
+            adjacency[a].append(b)
+        else:
+            adjacency[b].append(a)
+    seen = {source}
+    stack = [source]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def oracle_repair(graph):
+    """Reference repair: ``causal.repair_for_path_property`` written as
+    two directions of growth, each with its own anchor, forbidden partner,
+    score and arc orientation, and weights stored as arcs are added.
+    Returns the repaired arcs and their weights."""
+    arcs = set(graph.arcs)
+
+    def grow(forward: bool):
+        while True:
+            anchor = graph.start if forward else graph.end
+            connected = _oracle_reachable(graph.vertices, arcs, anchor, forward=forward)
+            missing = sorted(graph.vertices - connected)
+            if not missing:
+                return
+            progress = False
+            for v in missing:
+                candidates = []
+                for u in sorted(connected):
+                    if forward and (u == graph.end or v == graph.start):
+                        continue
+                    if not forward and (u == graph.start or v == graph.end):
+                        continue
+                    if not (graph.df.get((u, v), 0) > 0 or graph.df.get((v, u), 0) > 0):
+                        continue
+                    score = (
+                        dependency(u, v, graph.df)
+                        if forward
+                        else dependency(v, u, graph.df)
+                    )
+                    candidates.append((score, u))
+                if not candidates:
+                    continue
+                best_score = max(score for score, _ in candidates)
+                partner = min(u for score, u in candidates if score == best_score)
+                arcs.add((partner, v) if forward else (v, partner))
+                progress = True
+                break
+            if not progress:
+                raise GraphRepairError(
+                    f"cannot connect vertex {missing[0]!r}: no directly-follows "
+                    "contact with the connected part"
+                )
+
+    grow(forward=True)
+    grow(forward=False)
+
+    weights = {(a, b): dependency(a, b, graph.df) for a, b in graph.arcs}
+    for arc in arcs - graph.arcs:
+        weights[arc] = dependency(arc[0], arc[1], graph.df)
+    return frozenset(arcs), weights
 
 
 def _oracle_silent_walk(net, marking):
