@@ -5,78 +5,81 @@ Solves: minimise an integer objective over the binary variables
 equality rows, the minimum-arc row, binary bounds and variable fixings.
 
 The algorithm is branch-and-bound with bounding by the continuous
-relaxation. Every relaxation is solved by one dense simplex over all
+relaxation. Every relaxation is solved by one simplex over all
 variables using fraction-free integer pivoting, which is exact rational
 arithmetic with the denominators cleared, so no tolerance enters anywhere.
 
-Bounds, not rows: every variable keeps ``0 <= v <= 1`` as a bound, so a
-nonbasic variable sits at one of its two bounds, and a fixing or a
-branch-and-bound bound is a bound change that sets both bounds to one
-value. Only constraint rows live in the tableau, each with a slack
-``>= 0``. A simplex starts from the slack basis with every variable of
-negative cost at its upper bound and every other one at zero, which is
-dual feasible: a nonbasic reduced cost is non-negative at a lower bound
-and non-positive at an upper one, and a fixed variable needs no sign. A
-fixing keeps that, so the one pivot loop is a bounded dual simplex
-(``_Simplex.reoptimise``) that brings every basic value within its
-bounds. Its leaving row has the basic variable furthest outside its
-bounds (ties: lower basis index); that variable leaves at the bound it
-broke. The entering column is a nonbasic, non-fixed ``j`` whose move
-away from its bound takes the leaving variable toward that bound,
-minimising ``|cost[j] / T[row, j]|`` (compared by cross-multiplying;
-ties: lower column index), and a row without such a column proves the
-relaxation infeasible. The start rows are the presolved equality pairs
-(below); every other row is written into the optimal tableau by
-``_Simplex.add_rows``, each with a fresh basic slack, which keeps the
-reduced costs as they are, and the dual simplex runs again. Rows enter
-this way by row generation: the minimum-arc row and the body's
-inequality rows wait in a pending set; after each optimum the most
-violated of them, up to ``_ROW_BATCH`` per round, are added, until the
-optimum satisfies every row and so is the optimum of the full body.
+Bounds, not rows: every variable keeps a lower and an upper bound, so a
+nonbasic variable sits at one of its two bounds. A structural variable
+has ``0 <= v <= 1``, and a fixing or a branch-and-bound bound is a bound
+change that sets both bounds to one value. Only constraint rows live in
+the tableau, each with a slack variable: ``>= 0`` for an inequality,
+fixed at 0 for an equality. A simplex starts from the slack basis with
+every variable of negative cost at its upper bound and every other one
+at zero, which is dual feasible: a nonbasic reduced cost is non-negative
+at a lower bound and non-positive at an upper one, and a fixed variable
+needs no sign. A fixing keeps that, so the one pivot loop is a bounded
+dual simplex (``_Simplex.reoptimise``) that brings every basic value
+within its bounds. Its leaving row has the basic variable furthest
+outside its bounds (ties: lower variable id); that variable leaves at
+the bound it broke. The entering column is a nonbasic, non-fixed ``j``
+whose move away from its bound takes the leaving variable toward that
+bound, minimising ``|cost[j] / T[row][j]|`` (compared by
+cross-multiplying; ties: lower variable id), and a row without such a
+column proves the relaxation infeasible. A fixed variable never enters,
+so an equality's slack, once it has left the basis, stays out. The start
+rows are the presolved equalities (below); every other row is written
+into the optimal tableau by ``_Simplex.add_rows``, each with a fresh
+basic slack, which keeps the reduced costs as they are, and the dual
+simplex runs again. Rows enter this way by row generation: the
+minimum-arc row and the body's inequality rows wait in a pending set;
+after each optimum the most violated of them, up to ``_ROW_BATCH`` per
+round, are added, until the optimum satisfies every row and so is the
+optimum of the full body.
 
 One root per system: the start rows, the pending body and the costs
 depend only on the constraint system, never on the fixings, so
-``_Compiled`` validates the rows, stacks them and builds the root
+``_Compiled`` validates the rows, stores them and builds the root
 simplex once per system, and keeps it on the system
-(``ConstraintSystem.solver_state``). Each pair copies the root and
-fixes ``m = 0``, ``x_a = 1`` and ``y_b = 1`` on the copy; a
-branch-and-bound child copies its parent's optimal tableau and fixes the
-branching variable, so every node is a warm start. No node records
-which pending rows its path has added: a row in the tableau has a slack
-``>= 0``, so it holds at every optimum and is never violated again. The
-root itself is never changed, and ``Solution.pivots`` sums the dual
-pivots of every node. ``lp_relax`` minimises the plain objective, not
-the lexicographic one, so it builds one simplex of its own on the same
-start rows and pending rows.
+(``ConstraintSystem.solver_state``). Each pair copies the root and fixes
+``m = 0``, ``x_a = 1`` and ``y_b = 1`` on the copy; a branch-and-bound
+child copies its parent's optimal tableau and fixes the branching
+variable, so every node is a warm start. No node records which pending
+rows its path has added: a row in the tableau keeps its slack ``>= 0``,
+so it holds at every optimum and is never violated again. The root
+itself is never changed, and ``Solution.pivots`` sums the dual pivots of
+every node. ``lp_relax`` minimises the plain objective, not the
+lexicographic one, so it builds one simplex of its own on the same start
+rows and pending rows.
 
-The dual loop falls back to Bland's rule (the lowest basis index
+The dual loop falls back to Bland's rule (the lowest variable id
 leaves) after ``bland_after`` pivots and raises ``SolverError`` after
 ``_PIVOT_LIMIT`` pivots.
 
-Tableau: the constraint rows of a simplex live in one 2-D numpy ``int64``
-array, and each fraction-free pivot is the single array expression
-``(piv * T - outer(T[:, col], T[row])) // den`` with the pivot row put
-back afterwards. Fraction-free pivoting keeps every entry an integer, so
-the floor division is exact. Before each pivot a guard checks that every
-entry is below 2**31 in magnitude; then every product stays below 2**62
-and every difference below 2**63, so nothing wraps. When the check fails
-the tableau becomes an ``object`` array of Python ints for the rest of
-that simplex and its copies, and the same expression runs on it, so any
-input is solved exactly. A start row that does not fit ``int64`` builds
-the tableau as ``object`` from the beginning. Added rows are built in
-``int64`` only while ``max(den, |T|)`` times a row's absolute
-coefficient sum stays below 2**62, and otherwise turn the tableau into
-``object`` the same way. The last tableau column is the right-hand side
-with every nonbasic variable at zero; the basic values subtract the
-columns of the variables that sit away from zero, which is where a bound
-change shows. That product, the pending rows' slacks and the
-re-verification of an optimum are matrix products, and ``_dot`` is the
-one place where such a row product chooses between ``int64`` and Python
-ints: ``int64`` when the largest matrix entry times the vector's
-absolute sum, a bound on every partial sum, is below 2**63. The cost
-row stays a list of Python ints, because the lexicographic objective
-below scales it by 2**n. The pivot rules see the same integers either
-way, so the pivot sequence does not depend on the representation.
+Tableau: a simplex keeps a condensed tableau of Python-int rows with one
+column per nonbasic variable plus the right-hand side, so its width
+stays ``n + 1`` for a whole solve however many rows join it. Row ``i``
+reads ``den * basic_i + sum_j T[i][j] * nonbasic_j = T[i][n]``;
+``basis`` names each row's variable and ``nonbasic`` each column's
+(structural variables are ``0 .. n-1``, slacks follow in the order their
+rows joined). The last column is the right-hand side with every nonbasic
+variable at zero; the basic values subtract the columns of the nonbasic
+variables that sit away from zero (``raised``), which is where a bound
+change shows. A pivot is the fraction-free Jordan exchange (Bareiss) of
+the leaving and the entering variable: with ``sign`` the sign of the
+pivot, the pivot row is multiplied by ``sign`` and takes ``sign * den``
+in the pivot column, and every other row, the reduced costs included,
+becomes ``(|piv| * a - sign * f * b) // den`` with ``-sign * f`` in the
+pivot column (``f`` its pivot-column entry, ``b`` the pivot row's).
+Every entry stays an integer, so the floor division is exact, and
+``|piv|`` is the new positive ``den``. When ``|piv| == den``, a row with
+``f == 0`` is kept as it is and any other row changes only where the
+pivot row is nonzero. No row is changed in place, so a copy of a simplex
+shares its rows. Python ints do not overflow, so any input is solved
+exactly, and the lexicographic costs below, scaled by ``2**n``, need no
+other care. The pending body and the equalities are stored column-wise,
+so the slacks at an LP point add up only the columns of its nonzero
+entries. numpy serves only ``brute_force``.
 
 LP points: every value is an integer numerator over the one tableau
 denominator ``den``, so an LP point is its numerators with ``den``.
@@ -86,9 +89,9 @@ integers; ``Fraction`` appears only in the public ``LPRelaxation``.
 
 Presolve: the trace-emptiness equalities all read
 ``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
-a log can contribute hundreds of them. Before an equality becomes the
-two ``>=`` start rows every relaxation carries, the rows are reduced to
-their first linearly independent subset
+a log can contribute hundreds of them. Before they become the start
+rows every relaxation carries, one row each, they are reduced to their
+first linearly independent subset
 (``ConstraintSystem.independent_equality_rows``, found by exact integer
 elimination and cached on the system, so all pairs share one
 computation). The subset keeps the original integer rows and spans the
@@ -112,15 +115,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SolverError
 from .regions import ConstraintSystem, ILPInstance
 
 _ROW_BATCH = 24
-# Bound on every tableau entry before an int64 pivot: each product of two
-# entries then stays below 2**62 and each difference of two below 2**63.
-_INT64_SAFE = 1 << 31
 # pivots one dual re-optimisation may take
 _PIVOT_LIMIT = 100000
 
@@ -194,45 +192,49 @@ def _names_pair(func):
 
 
 class _Simplex:
-    """Dense bounded dual simplex over the rationals, fraction-free.
+    """Bounded dual simplex over the rationals on a condensed,
+    fraction-free tableau (see the module docstring).
 
-    Constraints are ``coefs . v >= rhs`` with ``lower <= v <= upper`` per
-    variable, initially 0 and a finite upper bound. The tableau holds
-    integers with one shared positive denominator (the previous pivot);
-    a negative pivot is followed by a global sign flip, so the
-    denominator stays positive. Its last column is the right-hand side
-    with every nonbasic variable at zero; ``raised`` maps each nonbasic
-    variable away from zero to its value. Construction builds the slack
-    basis on the start rows without pivoting; ``fix``, ``add_rows`` and
-    ``reoptimise`` do the rest (see the module docstring).
+    Constraints are ``coefs . v >= rhs``, each with the slack
+    ``coefs . v - rhs`` as a variable like the others: a start row's slack
+    has the bounds ``[0, slack_upper]`` (0 makes the row an equality,
+    ``None`` leaves it an inequality) and an added row's slack
+    ``[0, None]``. The structural variables start in ``[0, upper]``. Construction builds the
+    slack basis on the start rows without pivoting; ``fix``, ``add_rows``
+    and ``reoptimise`` do the rest.
     """
 
-    def __init__(self, rows: Rows, costs: Sequence[int], upper: Sequence[int]):
-        n, m = len(costs), len(rows)
+    def __init__(
+        self,
+        rows: Rows,
+        costs: Sequence[int],
+        upper: Sequence[int],
+        slack_upper: int | None,
+    ):
+        n = len(costs)
         self.n = n
         self.den = 1
         self.pivots = 0
-        self.width = n + m + 1
         # row i reads slack_i - coefs . v = -rhs, with slack_i basic
-        matrix, _ = _stack(rows, n)
-        self.tableau = np.zeros((m, self.width), dtype=matrix.dtype)
-        self.tableau[:, :n] = -matrix[:, :n]
-        self.tableau[np.arange(m), n + np.arange(m)] = 1
-        self.tableau[:, -1] = matrix[:, n]
-        self.basis = list(range(n, n + m))
-        # reduced cost of each column (the initial basics all cost zero)
-        self.cost = list(costs) + [0] * m
-        self.lower = [0] * n
-        self.upper = list(upper)
-        # dual feasible: each variable of negative cost sits at its upper bound
+        self.tableau = [[-c for c in coefs] + [-rhs] for coefs, rhs in rows]
+        self.basis = list(range(n, n + len(rows)))
+        self.nonbasic = list(range(n))
+        # reduced cost of each column (the initial basics all cost zero);
+        # the last entry takes the same updates and is never read
+        self.cost = list(costs) + [0]
+        self.lower = [0] * (n + len(rows))
+        self.upper = list(upper) + [slack_upper] * len(rows)
+        # dual feasible: each variable of negative cost sits at its upper
+        # bound; keys are columns
         self.raised = {j: upper[j] for j, c in enumerate(costs) if c < 0 and upper[j]}
 
     def copy(self) -> "_Simplex":
-        """An independent copy of the tableau with its pivot count at 0."""
+        """An independent copy with its pivot count at 0. Rows and the cost
+        row are never changed in place, so the copy shares them."""
         twin = copy.copy(self)
-        twin.tableau = self.tableau.copy()
+        twin.tableau = list(self.tableau)
         twin.basis = list(self.basis)
-        twin.cost = list(self.cost)
+        twin.nonbasic = list(self.nonbasic)
         twin.lower = list(self.lower)
         twin.upper = list(self.upper)
         twin.raised = dict(self.raised)
@@ -245,84 +247,82 @@ class _Simplex:
         the next ``reoptimise``. A fixed variable needs no reduced-cost
         sign, so the tableau stays dual feasible."""
         self.lower[index] = self.upper[index] = value
-        self.raised.pop(index, None)
-        if value and index not in self.basis:
-            self.raised[index] = value
+        if index in self.nonbasic:
+            col = self.nonbasic.index(index)
+            self.raised.pop(col, None)
+            if value:
+                self.raised[col] = value
 
     def _pivot(self, row: int, col: int) -> None:
-        tableau = self.tableau
-        if tableau.dtype != object and np.abs(tableau).max() >= _INT64_SAFE:
-            # this pivot might wrap around: go on in Python ints
-            tableau = self.tableau = tableau.astype(object)
-        pivot_row = tableau[row].copy()
-        piv = int(pivot_row[col])
-        den = self.den
-        updated = piv * tableau
-        updated -= tableau[:, col, None] * pivot_row  # outer product
-        updated //= den
-        updated[row] = pivot_row
-        self.tableau = updated
-        factor = self.cost[col]
-        if factor:
-            self.cost = [
-                (piv * a - factor * b) // den
-                for a, b in zip(self.cost, pivot_row.tolist())
-            ]
-        elif piv != den:
-            self.cost = [(piv * a) // den for a in self.cost]
-        self.den = piv
-        self.basis[row] = col
+        """Fraction-free Jordan exchange of the basic variable of ``row``
+        with the nonbasic variable of ``col``."""
+        den, line = self.den, self.tableau[row]
+        sign = 1 if line[col] > 0 else -1
+        size = sign * line[col]
+        nonzero = [j for j, b in enumerate(line) if b]
+
+        def exchange(other: list[int]) -> list[int]:
+            factor = sign * other[col]
+            if size != den:
+                new = [(size * a - factor * b) // den for a, b in zip(other, line)]
+            elif not factor:
+                return other
+            else:
+                new = list(other)
+                for j in nonzero:
+                    new[j] -= factor * line[j] // den
+            new[col] = -factor
+            return new
+
+        pivot_row = [sign * b for b in line]
+        pivot_row[col] = sign * den
+        self.tableau = [
+            pivot_row if i == row else exchange(other)
+            for i, other in enumerate(self.tableau)
+        ]
+        self.cost = exchange(self.cost)
+        self.den = size
+        self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
         self.pivots += 1
-        if self.den < 0:
-            # global sign flip keeps the shared denominator positive
-            self.den = -self.den
-            np.negative(self.tableau, out=self.tableau)
-            self.cost = [-a for a in self.cost]
 
     def add_rows(self, rows: Rows) -> None:
         """Append rows ``coefs . v >= rhs`` to the optimal tableau.
 
-        Each row gets a fresh slack column (inserted before the rhs column)
-        and is written in the current basis in fraction-free form,
-        ``den * line - sum_i line[basis_i] * T_i``, so its slack is basic
-        with coefficient ``den``. Reduced costs do not change: the new
-        slacks cost zero. Call ``reoptimise`` afterwards.
+        Each row gets a fresh basic slack in ``[0, None]`` and is written
+        in the current basis in fraction-free form, ``den * line - sum_i
+        line[basis_i] * T_i`` over the rows of structural basic variables,
+        where ``line`` is ``-coefs`` on the nonbasic columns and ``-rhs``
+        in the last one; its slack's coefficient is then ``den``. Neither
+        the reduced costs nor the width change. Call ``reoptimise``
+        afterwards.
         """
-        n, width, count = self.n, self.width, len(rows)
-        lines = []
-        for t, (coefs, rhs) in enumerate(rows):
-            line = [-c for c in coefs] + [0] * (width + count - n)
-            line[width - 1 + t] = 1
-            line[-1] = -rhs
-            lines.append(line)
-        tableau = np.insert(self.tableau, [width - 1] * count, 0, axis=1)
-        # only rows with a structural basic variable meet a nonzero line entry
-        structural = [i for i, var in enumerate(self.basis) if var < n]
-        largest = max(self.den, _magnitude(tableau))
-        spread = max(sum(map(abs, coefs)) + abs(rhs) + 1 for coefs, rhs in rows)
-        if tableau.dtype != object and largest * spread >= 1 << 62:
-            tableau = tableau.astype(object)
-        block = np.array(lines, dtype=tableau.dtype)
-        basic = block[:, [self.basis[i] for i in structural]]
-        block = self.den * block - basic @ tableau[structural]
-        self.tableau = np.vstack([tableau, block])
-        self.basis.extend(range(width - 1, width - 1 + count))
-        self.width += count
-        self.cost += [0] * count
+        n, den = self.n, self.den
+        structural = [(var, T) for var, T in zip(self.basis, self.tableau) if var < n]
+        for coefs, rhs in rows:
+            new = [-den * coefs[var] if var < n else 0 for var in self.nonbasic]
+            new.append(-den * rhs)
+            for var, T in structural:
+                if coefs[var]:
+                    new = [a + coefs[var] * b for a, b in zip(new, T)]
+            self.tableau.append(new)
+            self.basis.append(len(self.lower))
+            self.lower.append(0)
+            self.upper.append(None)
 
     def _basic_values(self) -> list[int]:
         """``den`` times the value of each basic variable: the rhs column
         less the raised columns times their values."""
-        if not self.raised:
-            return self.tableau[:, -1].tolist()
-        block = self.tableau[:, list(self.raised) + [-1]]
-        weights = [-v for v in self.raised.values()] + [1]
-        return _dot(block, weights, _magnitude(block)).tolist()
+        tableau = self.tableau
+        values = [line[-1] for line in tableau]
+        for j, v in self.raised.items():
+            values = [a - v * line[j] for a, line in zip(values, tableau)]
+        return values
 
     def reoptimise(self) -> tuple[str, Point | None]:
         """Bounded dual simplex: the reduced costs stay dual feasible while
         pivots bring every basic value within its bounds."""
-        n, basis, lower, upper = self.n, self.basis, self.lower, self.upper
+        basis, nonbasic, raised = self.basis, self.nonbasic, self.raised
+        lower, upper = self.lower, self.upper
         pivots = 0
         bland_after = 200 + 40 * len(self.tableau)
         while True:
@@ -330,7 +330,7 @@ class _Simplex:
             den = self.den
             row, gap, target = None, 0, 0
             for i, (var, value) in enumerate(zip(basis, values)):
-                low, high = (lower[var], upper[var]) if var < n else (0, None)
+                low, high = lower[var], upper[var]
                 if value < low * den:
                     miss, bound = low * den - value, low
                 elif high is not None and value > high * den:
@@ -345,33 +345,30 @@ class _Simplex:
                     row, gap, target = i, miss, bound
             if row is None:
                 return "optimal", self._point(values)
-            leaving, falls = basis[row], values[row] > target * den
-            line = self.tableau[row].tolist()
-            cost = self.cost
+            falls = values[row] > target * den
+            line, cost = self.tableau[row], self.cost
             entering = None
-            for j in range(self.width - 1):
+            for j, var in enumerate(nonbasic):
                 coef = line[j]
-                if not coef or j == leaving:
-                    continue
-                at_upper = False
-                if j < n:
-                    if lower[j] == upper[j]:
-                        continue  # a fixed variable never enters
-                    at_upper = self.raised.get(j, 0) == upper[j]
+                if not coef or lower[var] == upper[var]:
+                    continue  # a fixed variable never enters
                 # moving j off its bound must move the leaving variable to target
-                if (coef > 0) != (falls != at_upper):
+                if (coef > 0) != (falls != (raised.get(j, 0) == upper[var])):
+                    continue
+                if entering is None:
+                    entering = j
                     continue
                 # smallest |cost[j] / coef|, compared by cross-multiplying
-                if entering is None or abs(cost[j] * line[entering]) < abs(
-                    cost[entering] * coef
-                ):
+                left, right = abs(cost[j] * line[entering]), abs(cost[entering] * coef)
+                if left < right or (left == right and var < nonbasic[entering]):
                     entering = j
             if entering is None:
                 return "infeasible", None
             self._pivot(row, entering)
-            self.raised.pop(entering, None)
-            if leaving < n and target:
-                self.raised[leaving] = target
+            # the column now holds the leaving variable, at its target
+            raised.pop(entering, None)
+            if target:
+                raised[entering] = target
             pivots += 1
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("dual simplex failed to terminate")
@@ -381,51 +378,30 @@ class _Simplex:
         for var, value in zip(self.basis, values):
             if var < self.n:
                 num[var] = value
-        for var, value in self.raised.items():
-            num[var] = value * self.den
+        for j, value in self.raised.items():
+            num[self.nonbasic[j]] = value * self.den
         return num, self.den
 
 
-def _magnitude(array: np.ndarray) -> int:
-    """Largest absolute entry of an integer array, exactly (0 if empty)."""
-    if not array.size:
-        return 0
-    return max(abs(int(array.max())), abs(int(array.min())))
-
-
-def _dot(matrix: np.ndarray, vector: Sequence[int], magnitude: int) -> np.ndarray:
-    """``matrix @ vector`` exactly, given ``magnitude`` >= every absolute
-    entry of the matrix. ``max(magnitude, 1) * sum(|vector|)`` bounds
-    every partial sum and every vector entry: below 2**63 the product runs
-    in ``int64``, otherwise in Python ints."""
-    if matrix.dtype != object and max(magnitude, 1) * sum(map(abs, vector)) < 1 << 63:
-        return matrix @ np.array(vector, dtype=np.int64)
-    return matrix.astype(object, copy=False) @ np.array(vector, dtype=object)
-
-
-def _stack(rows: Rows, width: int) -> tuple[np.ndarray, int]:
-    """The rows as one matrix, each line a row's coefficients followed by
-    its negated rhs, so ``matrix @ (v + [1])`` is every row's slack at
-    ``v``; ``int64`` when every entry and its negation fit and ``object``
-    otherwise, plus the largest absolute entry."""
-    lines = [(*coefs, -rhs) for coefs, rhs in rows]
-    try:
-        matrix = np.array(lines, dtype=np.int64).reshape(len(rows), width + 1)
-    except OverflowError:
-        matrix = np.array(lines, dtype=object).reshape(len(rows), width + 1)
-    magnitude = _magnitude(matrix)
-    if magnitude == 1 << 63:  # -2**63 has no int64 negation
-        matrix = matrix.astype(object)
-    return matrix, magnitude
-
-
 class _Pending:
-    """Rows that enter a relaxation by row generation, deduplicated and
-    stacked once: a system's body is shared by all its pairs and nodes."""
+    """Rows ``coefs . v >= rhs``, deduplicated and stored column-wise: a
+    system's body, which enters a relaxation by row generation and is
+    shared by all its pairs and nodes, or its equalities for
+    verification."""
 
     def __init__(self, rows: Rows, width: int):
         self.rows = list(dict.fromkeys(rows))
-        self.matrix, self.magnitude = _stack(self.rows, width)
+        self.columns = [[coefs[j] for coefs, _ in self.rows] for j in range(width)]
+        self.rhs = [rhs for _, rhs in self.rows]
+
+    def slacks(self, num: Sequence[int], den: int) -> list[int]:
+        """``den`` times each row's slack at the point ``num / den``; only
+        the point's nonzero entries add a column."""
+        slack = [-rhs * den for rhs in self.rhs]
+        for value, column in zip(num, self.columns):
+            if value:
+                slack = [s + value * c for s, c in zip(slack, column)]
+        return slack
 
     def optimum(self, simplex: _Simplex) -> tuple[str, Point | None]:
         """Re-optimise ``simplex``, then add the most violated rows and
@@ -434,24 +410,22 @@ class _Pending:
         is optimal for all of them."""
         status, point = simplex.reoptimise()
         while status == "optimal":
-            num, den = point
-            slack = _dot(self.matrix, num + [den], self.magnitude)  # den * slack
-            violated = np.flatnonzero(slack < 0).tolist()
+            slack = self.slacks(*point)
+            violated = [i for i, s in enumerate(slack) if s < 0]
             if not violated:
                 break
             violated.sort(key=lambda i: (slack[i], self.rows[i][0]))
-            chosen = violated[:_ROW_BATCH]
-            simplex.add_rows(sorted(self.rows[i] for i in chosen))
+            simplex.add_rows(sorted(self.rows[i] for i in violated[:_ROW_BATCH]))
             status, point = simplex.reoptimise()
         return status, point
 
 
 class _Compiled:
     """A constraint system as the solver sees it: the start rows (the
-    presolved equality pairs); the pending body (inequalities and the
-    minimum-arc row), deduplicated and stacked; all equality rows,
-    stacked for ``verify``; the lexicographic costs; and the root simplex
-    on the start rows with every variable boxed in [0, 1]. ``_prepare``
+    presolved equalities); the pending body (inequalities and the
+    minimum-arc row); all equality rows, for ``verify``; the
+    lexicographic costs; and the root simplex on the start rows, each
+    with its slack fixed at 0, and every variable boxed in [0, 1]. ``_prepare``
     builds it on first use and keeps it on the system; it is never
     changed afterwards, and every node works on a copy of the root."""
 
@@ -463,20 +437,15 @@ class _Compiled:
             c * (1 << n) + (1 << (n - 1 - i)) for i, c in enumerate(cs.objective)
         ]
         self.body = _Pending(inequalities, n)
-        self.equalities, self.equality_magnitude = _stack(equalities, n)
-        self.start: Rows = []
-        for row in cs.independent_equality_rows:
-            self.start.append((row.vector, 0))
-            self.start.append((tuple(-c for c in row.vector), 0))
-        self.root = _Simplex(self.start, self.costs, [1] * n)
+        self.equalities = _Pending(equalities, n)
+        self.start: Rows = [(row.vector, 0) for row in cs.independent_equality_rows]
+        self.root = _Simplex(self.start, self.costs, [1] * n, 0)
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the
         presolve does not apply here)."""
-        point = list(assignment) + [1]
-        body = self.body
-        return bool((_dot(body.matrix, point, body.magnitude) >= 0).all()) and bool(
-            (_dot(self.equalities, point, self.equality_magnitude) == 0).all()
+        return all(s >= 0 for s in self.body.slacks(assignment, 1)) and not any(
+            self.equalities.slacks(assignment, 1)
         )
 
 
@@ -497,11 +466,13 @@ def _solve_lp(
     costs: Sequence[int],
     upper: Sequence[int],
     fixings: dict[int, int] | None = None,
+    slack_upper: int | None = None,
 ) -> tuple[str, list[Fraction]]:
     """Exact minimum of ``costs . v`` over ``start + rows`` with
     ``0 <= v <= upper`` and the fixings: one simplex on the start rows,
-    and the other rows by row generation."""
-    simplex = _Simplex(start, costs, upper)
+    each with its slack in ``[0, slack_upper]``, and the other rows by
+    row generation."""
+    simplex = _Simplex(start, costs, upper, slack_upper)
     for index, value in (fixings or {}).items():
         simplex.fix(index, value)
     pending = _Pending(rows, len(costs))
@@ -521,7 +492,7 @@ def lp_relax(inst: ILPInstance) -> LPRelaxation:
     compiled = _prepare(inst)
     costs = inst.system.objective
     status, point = _solve_lp(
-        compiled.start, compiled.body.rows, costs, [1] * len(costs), inst.fixings
+        compiled.start, compiled.body.rows, costs, [1] * len(costs), inst.fixings, 0
     )
     if status != "optimal":
         return LPRelaxation(status="infeasible", value=None, point=None)
@@ -615,6 +586,9 @@ def brute_force(inst: ILPInstance) -> Solution:
     if n > 25:
         raise SolverError(f"enumeration budget exceeded: {n} variables > 25")
     _check_fixings(inst)
+    # the oracle enumerates assignments in array batches; solve needs no numpy
+    import numpy as np
+
     inequalities, equalities = _system_rows(cs)
     fixed = dict(inst.fixings)
     free = [i for i in range(n) if i not in fixed]

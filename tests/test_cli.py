@@ -1,12 +1,17 @@
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from regionminer.cli import build_parser, main
 from regionminer.discovery import DiscoveryOptions
-from regionminer.eventlog import parse_trace_log
+from regionminer.eventlog import parse_trace_log, prefix_closure, use_transform
+from regionminer.ilp import brute_force, solve
 from regionminer.petri import parse_pnml
+from regionminer.regions import build_constraint_system, instantiate_causal_ilp
 
 from .conftest import DATA
 
@@ -405,6 +410,47 @@ def test_determinism_across_runs(workspace):
             ]
         )
     assert (workspace / "one.pnml").read_bytes() == (workspace / "two.pnml").read_bytes()
+
+
+def test_discover_and_evaluate_run_without_numpy(workspace, l1):
+    # numpy serves only the brute_force oracle: with it blocked, discover
+    # writes the golden net and evaluate scores it
+    log, pnml = str(workspace / "l1.log"), str(workspace / "net.pnml")
+    discover = ["discover", "--log", log, "--no-filter", "--out-pnml", pnml]
+    evaluate = ["evaluate", "--log", log, "--pnml", pnml]
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "from regionminer.cli import main",
+            f"sys.exit(main({discover!r}) or main({evaluate!r}))",
+        ]
+    )
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    golden = (DATA / "l1_unfiltered.pnml").read_bytes()
+    assert (workspace / "net.pnml").read_bytes() == golden
+    assert done.stdout.split() == [
+        "fitness=1.000000",
+        "precision=0.700122",
+        "allowed_mass=817",
+        "blocked_traces=0",
+        "escaping_mass=245",
+        "replayed_traces=55",
+    ]
+    # in a process that has numpy, the oracle still solves l1's pairs
+    use, start, end = use_transform(l1)
+    cs = build_constraint_system(prefix_closure(use, start, end))
+    for pair in (("a", "b"), (start, "a"), ("e", end)):
+        inst = instantiate_causal_ilp(cs, *pair)
+        assert brute_force(inst) == solve(inst)
 
 
 _FIRST_LP = "lp/000___start____a.lp"
