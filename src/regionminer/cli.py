@@ -16,7 +16,7 @@ from .causal import DEFAULT_DEPENDENCY_THRESHOLD, causal_graph_dot
 from .discovery import DiscoveryOptions, run_discovery
 from .errors import RegionMinerError
 from .eventlog import EventLog, parse_trace_log, parse_xes, serialize_trace_log
-from .filtering import seg_dot
+from .filtering import build_graph, seg_dot
 from .petri import export_dot, export_pnml, parse_pnml
 from .quality import evaluate, inject_noise
 from .regions import instantiate_causal_ilp, lp_text
@@ -122,8 +122,6 @@ def _cmd_discover(args) -> int:
     if args.emit_seg_dot:
         graph = result.encoding_graph
         if graph is None:
-            from .filtering import build_graph
-
             graph = build_graph(result.closure)
         Path(args.emit_seg_dot).write_text(seg_dot(graph, result.retained))
     if args.emit_causal_dot:

@@ -1,5 +1,5 @@
-"""Event logs: parsing, bag representation, prefix-closures and the
-unique-start/end transformation.
+"""Event logs: parsing, bag representation, the prefix tree of a log's
+prefix-closure and the unique-start/end transformation.
 
 An event log is a bag (multiset) of traces; a trace is an ordered sequence
 of activity names. Activity names are non-empty tokens without whitespace
@@ -74,10 +74,6 @@ class EventLog:
     def total_instances(self) -> int:
         """Number of trace instances, multiplicities included."""
         return sum(self.traces.values())
-
-    @property
-    def variant_count(self) -> int:
-        return len(self.traces)
 
     def is_empty(self) -> bool:
         return not self.traces
@@ -226,17 +222,20 @@ def is_use_log(log: EventLog, start: str, end: str) -> bool:
 
 @dataclass(frozen=True)
 class PrefixClosure:
-    """Frequency-annotated prefix-closure of an event log.
+    """Frequency-annotated prefix-closure of an event log, as a prefix tree.
 
-    ``entries`` maps every prefix of every trace (including the empty
-    trace) to its closure frequency: the trace's own multiplicity plus the
-    frequencies of all its one-step extensions. ``start``/``end`` carry the
-    unique start/end activities when the closed log was a USE log.
-    ``encodings`` tables every prefix's constraint row for the
-    sequence-encoding graph, the constraint system and ``check_region``.
+    Node i is the i-th prefix in (length, prefix) order, so node 0 is the
+    empty trace and parents come before their children. One tuple each
+    holds every node's prefix, parent index (-1 for node 0), closure
+    frequency (own multiplicity plus the children's frequencies) and own
+    multiplicity in the log. ``start``/``end`` carry the unique start/end
+    activities when the closed log was a USE log.
     """
 
-    entries: Mapping[Trace, int]
+    prefixes: tuple[Trace, ...]
+    parents: tuple[int, ...]
+    frequencies: tuple[int, ...]
+    multiplicities: tuple[int, ...]
     alphabet: frozenset[str]
     start: str | None = None
     end: str | None = None
@@ -246,52 +245,58 @@ class PrefixClosure:
 
     @property
     def total_instances(self) -> int:
-        return self.entries.get((), 0)
+        return self.frequencies[0]
 
     @cached_property
-    def encodings(self) -> Mapping[Trace, tuple[int, ...]]:
-        """Every prefix's ``regions.sequence_encoding`` over
-        ``ordered_alphabet()`` in (length, prefix) order, computed once.
-        Each row comes from its parent's: the parent's negated tail is the
-        head, and the tail counts the last activity once more."""
+    def entries(self) -> Mapping[Trace, int]:
+        """Every prefix mapped to its closure frequency, in node order."""
+        return dict(zip(self.prefixes, self.frequencies))
+
+    @cached_property
+    def encodings(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's ``regions.sequence_encoding`` over
+        ``ordered_alphabet()``, by node index, computed once. Each row
+        comes from its parent's: the parent's negated tail is the head,
+        and the tail counts the last activity once more."""
         alphabet = self.ordered_alphabet()
         n = len(alphabet)
         column = {a: n + 1 + i for i, a in enumerate(alphabet)}
-        table: dict[Trace, tuple[int, ...]] = {(): (1,) + (0,) * (2 * n)}
-        for trace in sorted(self.entries, key=lambda t: (len(t), t)):
-            if trace:
-                tail = table[trace[:-1]][n + 1 :]
-                row = [1, *(-c for c in tail), *tail]
-                row[column[trace[-1]]] -= 1
-                table[trace] = tuple(row)
-        return table
-
-    def full_traces(self) -> dict[Trace, int]:
-        """The original bag this closure was built from (log multiplicities):
-        each prefix's frequency minus those of its one-step extensions."""
-        own = dict(self.entries)
-        for trace, freq in self.entries.items():
-            if trace:
-                own[trace[:-1]] -= freq
-        return {trace: count for trace, count in own.items() if count > 0}
+        rows = [(1,) + (0,) * (2 * n)]
+        for prefix, parent in zip(self.prefixes[1:], self.parents[1:]):
+            tail = rows[parent][n + 1 :]
+            row = [1, *(-c for c in tail), *tail]
+            row[column[prefix[-1]]] -= 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def prefix_closure(
     log: EventLog, start: str | None = None, end: str | None = None
 ) -> PrefixClosure:
-    """Compute the prefix-closure of a log with closure frequencies.
-
-    The frequency of a prefix equals its own multiplicity in the log plus
-    the frequencies of all its one-step extensions present in the closure;
-    the empty trace therefore carries the total instance count.
-    """
+    """The prefix tree of a log's prefix-closure: one pass over the variants
+    builds a trie, and a breadth-first walk over each node's children in
+    sorted order numbers its nodes in (length, prefix) order."""
     if log.is_empty():
         raise ValueError("cannot close an empty log")
-    entries: dict[Trace, int] = {}
+    children: list[dict[str, int]] = [{}]  # per trie node: children by activity
+    own: dict[int, int] = {}  # per trie node a variant ends at: its multiplicity
     for trace, count in log.traces.items():
-        for cut in range(len(trace) + 1):
-            prefix = trace[:cut]
-            entries[prefix] = entries.get(prefix, 0) + count
-    return PrefixClosure(
-        entries=entries, alphabet=frozenset(log.alphabet), start=start, end=end
-    )
+        node = 0
+        for activity in trace:
+            if activity not in children[node]:
+                children[node][activity] = len(children)
+                children.append({})
+            node = children[node][activity]
+        own[node] = count
+    prefixes, parents, trie = [()], [-1], [0]  # trie: the trie node behind each node
+    for index, at in enumerate(trie):  # trie grows while it is walked
+        for activity, child in sorted(children[at].items()):
+            prefixes.append(prefixes[index] + (activity,))
+            parents.append(index)
+            trie.append(child)
+    multiplicities = [own.get(at, 0) for at in trie]
+    frequencies = multiplicities.copy()
+    for index in range(len(trie) - 1, 0, -1):  # children come after their parent
+        frequencies[parents[index]] += frequencies[index]
+    columns = (prefixes, parents, frequencies, multiplicities)
+    return PrefixClosure(*map(tuple, columns), frozenset(log.alphabet), start, end)

@@ -1,11 +1,11 @@
 """Frequency filtering on the constraint body via the sequence-encoding graph.
 
-Vertices are the deduplicated rows of the closure's encoding table
+Vertices are the deduplicated encoding rows of the closure's prefix tree
 (``PrefixClosure.encodings``), the empty sequence's row being the root;
-arcs follow one-step extensions and carry the frequency mass that flows
-along them. A breadth-first sweep keeps, per vertex, only the children
-selected by a pluggable filter; everything the sweep never reaches is
-stripped from the constraint body.
+arcs are the tree edges, merged where their rows coincide, and carry the
+frequency mass that flows along them. A breadth-first sweep keeps, per
+vertex, only the children selected by a pluggable filter; everything the
+sweep never reaches is stripped from the constraint body.
 """
 
 from __future__ import annotations
@@ -46,22 +46,22 @@ class SequenceEncodingGraph:
 
 
 def build_graph(pc: PrefixClosure) -> SequenceEncodingGraph:
-    """Construct the sequence-encoding graph of a prefix-closure from its
-    encoding table. It is acyclic by construction: every arc runs from a
-    prefix's row to the row of a prefix one event longer, and a row's
-    ``encoding_length`` is its prefix's length."""
+    """Construct the sequence-encoding graph of a prefix-closure: each
+    tree edge becomes an arc between the rows of its two nodes. It is
+    acyclic by construction: every arc runs from a prefix's row to the
+    row of a prefix one event longer, and a row's ``encoding_length`` is
+    its prefix's length."""
     table = pc.encodings
     vertex_weight: dict[EncodingVector, int] = {}
     children: dict[EncodingVector, dict[EncodingVector, int]] = {}
-    for trace, vec in table.items():
-        freq = pc.entries[trace]
+    for parent, freq, vec in zip(pc.parents, pc.frequencies, table):
         vertex_weight[vec] = vertex_weight.get(vec, 0) + freq
         children.setdefault(vec, {})
-        if trace:
-            arcs = children.setdefault(table[trace[:-1]], {})
+        if parent >= 0:
+            arcs = children[table[parent]]
             arcs[vec] = arcs.get(vec, 0) + freq
     return SequenceEncodingGraph(
-        root=table[()],
+        root=table[0],
         children=children,
         vertex_weight=vertex_weight,
         alphabet=pc.ordered_alphabet(),

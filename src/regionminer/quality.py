@@ -1,9 +1,9 @@
 """Scoring discovered nets and injecting controlled noise into logs.
 
 Fitness is token-based replay with missing-token insertion; precision is
-an escaping-edges measure. Both come from one pass over the log's prefix
-tree that keeps one replay state per prefix, derived from its parent's
-by the rule stated in ``petri`` (label check, silent walk, hop bound).
+an escaping-edges measure. Both come from one pass over the nodes of
+``eventlog.prefix_closure``, each replayed from the state at its parent's
+index by the rule stated in ``petri`` (label check, silent walk, hop bound).
 Precision counts the prefixes where nothing was inserted; a full trace's
 end step is taken on the same silent walk. Both scores are
 multiplicity-weighted, live in [0, 1] and are invariant under scaling all
@@ -137,20 +137,16 @@ def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
     initial, steps, allowed_labels, ends = _marking_memos(
         wfnet, label_map(wfnet.net, log.alphabet)
     )
-    pc = prefix_closure(log)
     totals = [0, 0, 0, 0]  # produced, consumed, missing, remaining
     replayed = blocked = escaping_mass = allowed_mass = 0
-    # sorting puts every prefix right after the path of prefixes leading
-    # to it, so ancestors[i] holds the state of its prefix of length i
-    ancestors: list[tuple] = []
-    for prefix, weight in sorted(pc.entries.items()):
-        del ancestors[len(prefix) :]
-        if prefix:
-            marking, produced, consumed, missing, parent_allowed, parent_weight = (
-                ancestors[-1]
-            )
-            if prefix[-1] in parent_allowed:  # the log takes it: it does not escape
-                escaping_mass -= parent_weight
+    pc = prefix_closure(log)
+    nodes = zip(pc.prefixes, pc.parents, pc.frequencies, pc.multiplicities)
+    states: list[tuple] = []  # each node's replay state, by node index
+    for prefix, parent, weight, mult in nodes:
+        if parent >= 0:
+            marking, produced, consumed, missing = states[parent]
+            if not missing and prefix[-1] in allowed_labels[marking]:  # no escape
+                escaping_mass -= pc.frequencies[parent]
             marking, more_produced, more_consumed, inserted = steps[marking, prefix[-1]]
             produced += more_produced
             consumed += more_consumed
@@ -161,8 +157,7 @@ def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
         allowed = allowed_labels[marking] if not missing else frozenset()
         escaping_mass += weight * len(allowed)
         allowed_mass += weight * len(allowed)
-        ancestors.append((marking, produced, consumed, missing, allowed, weight))
-        mult = log.traces.get(prefix)
+        states.append((marking, produced, consumed, missing))
         if mult:
             more_produced, more_consumed, more_missing, remaining = ends[marking]
             counts = (
@@ -215,6 +210,10 @@ def inject_noise(log: EventLog, level: float, seed: int) -> EventLog:
     instance still changes). Removal sizes are uniform in
     [1, max(1, len // 3)]. Deterministic for a fixed seed; instance count
     is preserved and no new activities appear.
+
+    The selection holds ceil(level * instances) indices in memory: a huge
+    count total raises ``MemoryError``, reported by the CLI as one
+    ``error: out of memory`` line.
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"noise level must be in [0, 1], got {level}")

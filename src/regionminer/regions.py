@@ -206,18 +206,16 @@ def build_constraint_system(
 
     Rows are the closure's encodings, deduplicated by exact vector
     equality (order abstraction: different interleavings share a row) with
-    frequencies summed; a full trace's equality row mirrors its tail. When
-    ``retained`` is given, only inequality rows whose vector survived the
-    filter are emitted, and a trace's emptiness equality is kept only when
-    the trace's entire prefix path survived.
+    frequencies summed; a full trace (a node with a multiplicity) has an
+    equality row mirroring its tail. When ``retained`` is given, only
+    inequality rows whose vector survived the filter are emitted, and a
+    trace's emptiness equality is kept only when its whole path survived.
     """
     alphabet = pc.ordered_alphabet()
     n = len(alphabet)
     table = pc.encodings
-    inequality_rows = _grouped(
-        (vec, trace, pc.entries[trace]) for trace, vec in table.items() if trace
-    )
-    full = pc.full_traces()
+    inequality_rows = _grouped(zip(table[1:], pc.prefixes[1:], pc.frequencies[1:]))
+    kept = [True] * len(table)  # kept[i]: node i's whole path survived the filter
     if retained is not None:
         retained = frozenset(retained)
         unknown = retained - {row.vector for row in inequality_rows}
@@ -226,15 +224,12 @@ def build_constraint_system(
                 f"{len(unknown)} retained vector(s) do not occur in the closure"
             )
         inequality_rows = tuple(r for r in inequality_rows if r.vector in retained)
-        full = {
-            trace: mult
-            for trace, mult in full.items()
-            if all(table[trace[:cut]] in retained for cut in range(1, len(trace) + 1))
-        }
+        for index, parent in enumerate(pc.parents[1:], 1):
+            kept[index] = kept[parent] and table[index] in retained
     equality_rows = _grouped(
-        ((1,) + tuple(-c for c in vec[n + 1 :]) + vec[n + 1 :], trace, full[trace])
-        for trace, vec in table.items()
-        if trace in full
+        ((1,) + tuple(-c for c in vec[n + 1 :]) + vec[n + 1 :], prefix, mult)
+        for vec, prefix, mult, whole in zip(table, pc.prefixes, pc.multiplicities, kept)
+        if mult and whole
     )
 
     return ConstraintSystem(
@@ -304,9 +299,9 @@ def check_region(
     vec = candidate.vector()
     if len(vec) != 2 * len(pc.ordered_alphabet()) + 1:
         raise ValueError("candidate dimensions do not match the closure alphabet")
-    for trace, row in pc.encodings.items():
-        if trace and sum(r * v for r, v in zip(row, vec)) < 0:
-            return False, trace
+    for prefix, row in zip(pc.prefixes[1:], pc.encodings[1:]):
+        if sum(r * v for r, v in zip(row, vec)) < 0:
+            return False, prefix
     return True, None
 
 

@@ -414,16 +414,19 @@ def test_determinism_across_runs(workspace):
 
 def test_discover_and_evaluate_run_without_numpy(workspace, l1):
     # numpy serves only the brute_force oracle: with it blocked, discover
-    # writes the golden net and evaluate scores it
+    # writes the golden nets, filtered and unfiltered, and evaluate scores one
     log, pnml = str(workspace / "l1.log"), str(workspace / "net.pnml")
     discover = ["discover", "--log", log, "--no-filter", "--out-pnml", pnml]
     evaluate = ["evaluate", "--log", log, "--pnml", pnml]
+    prime, out = str(workspace / "l1_prime.log"), str(workspace / "f.pnml")
+    filtered = ["discover", "--log", prime, "--alpha", "0.75", "--out-pnml", out]
     script = "\n".join(
         [
             "import sys",
             "sys.modules['numpy'] = None",
             "from regionminer.cli import main",
-            f"sys.exit(main({discover!r}) or main({evaluate!r}))",
+            f"code = main({filtered!r}) or main({discover!r})",
+            f"sys.exit(code or main({evaluate!r}))",
         ]
     )
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -437,6 +440,8 @@ def test_discover_and_evaluate_run_without_numpy(workspace, l1):
     assert done.returncode == 0, done.stderr
     golden = (DATA / "l1_unfiltered.pnml").read_bytes()
     assert (workspace / "net.pnml").read_bytes() == golden
+    golden = (DATA / "l1_prime_alpha_0.75.pnml").read_bytes()
+    assert (workspace / "f.pnml").read_bytes() == golden
     assert done.stdout.split() == [
         "fitness=1.000000",
         "precision=0.700122",

@@ -193,19 +193,6 @@ def test_prefix_closure_l1_prime_frequencies(l1_prime):
     assert pc.total_instances == 56
 
 
-def _closure_recurrence_holds(pc):
-    for trace, freq in pc.entries.items():
-        own = pc.full_traces().get(trace, 0)
-        extensions = sum(
-            pc.entries[trace + (a,)]
-            for a in pc.alphabet
-            if trace + (a,) in pc.entries
-        )
-        if freq != own + extensions:
-            return False
-    return True
-
-
 @given(traces_strategy.filter(lambda p: len(p) > 0))
 def test_prefix_closure_recurrence_property(pairs):
     log = EventLog.from_pairs(pairs)
@@ -224,6 +211,15 @@ def test_prefix_closure_recurrence_property(pairs):
         if trace:
             assert trace[:-1] in pc.entries
     assert pc.total_instances == log.total_instances
+    # the tree: nodes in (length, prefix) order, each parent its prefix
+    # minus the last event, each multiplicity the log's
+    prefixes = list(pc.prefixes)
+    assert prefixes == sorted(pc.entries, key=lambda t: (len(t), t))
+    nodes = zip(prefixes, pc.parents, pc.frequencies, pc.multiplicities, strict=True)
+    for prefix, parent, freq, mult in nodes:
+        assert parent == (prefixes.index(prefix[:-1]) if prefix else -1)
+        assert freq == pc.entries[prefix]
+        assert mult == log.traces.get(prefix, 0)
 
 
 @given(traces_strategy.filter(lambda p: len(p) > 0))

@@ -6,6 +6,7 @@ from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.regions import (
     residency_vector,
     RegionCandidate,
+    Row,
     build_constraint_system,
     check_region,
     encoding_shorthand,
@@ -256,7 +257,38 @@ def test_encoding_table_matches_sequence_encoding(pairs, wrapped):
     log = EventLog.from_pairs(pairs)
     pc = prefix_closure(*use_transform(log)) if wrapped else prefix_closure(log)
     alphabet = pc.ordered_alphabet()
-    table = pc.encodings
-    assert list(table) == sorted(pc.entries, key=lambda t: (len(t), t))
-    for trace, row in table.items():
+    assert list(pc.prefixes) == sorted(pc.entries, key=lambda t: (len(t), t))
+    for trace, row in zip(pc.prefixes, pc.encodings, strict=True):
         assert row == sequence_encoding(trace, alphabet)
+
+
+@given(logs_with_counts, st.data())
+def test_filtered_equalities_follow_the_per_cut_rule(pairs, data):
+    # any retained subset, also one the sweep cannot produce (a row kept
+    # without its parent's): a trace keeps its equality row exactly when
+    # the row of every non-empty cut of it is retained
+    use, start, end = use_transform(EventLog.from_pairs(pairs))
+    pc = prefix_closure(use, start, end)
+    alphabet = pc.ordered_alphabet()
+    n = len(alphabet)
+    full = build_constraint_system(pc)
+    vectors = sorted({row.vector for row in full.inequality_rows})
+    flags = data.draw(
+        st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors))
+    )
+    retained = {vector for vector, flag in zip(vectors, flags) if flag}
+    groups: dict = {}
+    for trace in sorted(use.traces, key=lambda t: (len(t), t)):
+        cuts = range(1, len(trace) + 1)
+        if all(sequence_encoding(trace[:cut], alphabet) in retained for cut in cuts):
+            whole = sequence_encoding(trace, alphabet)[n + 1 :]
+            vector = (1,) + tuple(-c for c in whole) + whole
+            source, weight = groups.get(vector, (trace, 0))
+            groups[vector] = (source, weight + use.traces[trace])
+    system = build_constraint_system(pc, retained)
+    assert system.equality_rows == tuple(
+        Row(vector, source, weight) for vector, (source, weight) in groups.items()
+    )
+    assert system.inequality_rows == tuple(
+        row for row in full.inequality_rows if row.vector in retained
+    )
