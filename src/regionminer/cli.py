@@ -133,8 +133,6 @@ def _cmd_discover(args) -> int:
             inst = instantiate_causal_ilp(result.system, *pair)
             safe = re.sub(r"[^A-Za-z0-9_.-]", "_", f"{pair[0]}__{pair[1]}")
             (directory / f"{index:03d}_{safe}.lp").write_text(lp_text(inst))
-    for pair in result.skipped:
-        print(f"warning: no region for causal pair {pair}", file=sys.stderr)
     return 0
 
 

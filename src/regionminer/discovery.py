@@ -2,18 +2,24 @@
 constraint body (optionally filtered), solve one problem per causal pair
 and assemble the workflow net.
 
-One transition per activity plus two silent wrappers; every solved pair
+One transition per activity plus two silent wrappers; every causal pair
 contributes a place wired by its arc indicators; a fresh source place
 feeds the start wrapper and the end wrapper feeds a fresh sink place.
 Pairs are solved one after another in sorted order, and duplicate
 regions collapse into one place.
+
+Every causal pair has a region, filtered or not: the wrapper assignment
+(``x_start = y_end = 1``, self-loops on both activities of the pair,
+``x_a = y_b = 1``) satisfies every row of the unfiltered system, and the
+filter only removes rows. A replacement solver that still reports no
+region raises ``SolverError`` naming the pair.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ilp
 from .causal import (
@@ -22,6 +28,7 @@ from .causal import (
     build_causal_graph,
     repair_for_path_property,
 )
+from .errors import SolverError
 from .eventlog import EventLog, PrefixClosure, prefix_closure, use_transform
 from .filtering import SequenceEncodingGraph, build_graph, make_kappa_max, sef_bfs
 from .petri import PetriNet, WorkflowNet
@@ -58,19 +65,16 @@ class DiscoveryResult:
     """Net plus the intermediate artefacts the CLI and tests inspect."""
 
     net: WorkflowNet
-    start: str
-    end: str
     closure: PrefixClosure
     system: ConstraintSystem
     causal: CausalGraph
     encoding_graph: SequenceEncodingGraph | None
     retained: frozenset | None
     regions: tuple[RegionCandidate, ...]
-    pair_regions: Mapping[Pair, RegionCandidate | None]
-    skipped: tuple[Pair, ...] = field(default=())
+    pair_regions: Mapping[Pair, RegionCandidate]
 
 
-def dedupe_places(solutions: Sequence[RegionCandidate]) -> list[RegionCandidate]:
+def dedupe_places(solutions: Iterable[RegionCandidate]) -> list[RegionCandidate]:
     """Collapse exact duplicate (marking, incoming, outgoing) triples,
     keeping the first occurrence and otherwise preserving order."""
     seen = set()
@@ -113,11 +117,8 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         len(system.equality_rows),
         len(system.independent_equality_rows),
     )
-    pairs = sorted(causal.arcs)
-    pair_regions: dict[Pair, RegionCandidate | None] = {}
-    skipped: list[Pair] = []
-    ordered: list[RegionCandidate] = []
-    for pair in pairs:
+    pair_regions: dict[Pair, RegionCandidate] = {}
+    for pair in sorted(causal.arcs):
         solution = solver(instantiate_causal_ilp(system, *pair))
         logger.debug(
             "pair (%s, %s): %s, objective %s, %d nodes, %d pivots",
@@ -128,22 +129,14 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
             solution.pivots,
         )
         if solution.status != "optimal":
-            # cannot happen without filtering (every unfiltered pair has
-            # the wrapper solution); a missing place is the harmless outcome
-            logger.warning("no region for causal pair %s; skipping", pair)
-            pair_regions[pair] = None
-            skipped.append(pair)
-            continue
-        candidate = RegionCandidate.from_vector(solution.assignment)
-        pair_regions[pair] = candidate
-        ordered.append(candidate)
-    regions = dedupe_places(ordered)
+            a, b = pair
+            raise SolverError(f"pair ({a}, {b}): solver returned {solution.status}")
+        pair_regions[pair] = RegionCandidate.from_vector(solution.assignment)
+    regions = dedupe_places(pair_regions.values())
 
     net = _assemble(system, regions, start, end)
     return DiscoveryResult(
         net=net,
-        start=start,
-        end=end,
         closure=pc,
         system=system,
         causal=causal,
@@ -151,7 +144,6 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         retained=retained,
         regions=tuple(regions),
         pair_regions=pair_regions,
-        skipped=tuple(skipped),
     )
 
 

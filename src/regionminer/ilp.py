@@ -53,8 +53,8 @@ lexicographic one, so it builds one simplex of its own on the same start
 rows and pending rows.
 
 The dual loop falls back to Bland's rule (the lowest variable id
-leaves) after ``bland_after`` pivots and raises ``SolverError`` after
-``_PIVOT_LIMIT`` pivots.
+leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
+``SolverError`` after ``_PIVOT_LIMIT`` pivots.
 
 Tableau: a simplex keeps a condensed tableau of Python-int rows with one
 column per nonbasic variable plus the right-hand side, so its width
@@ -121,6 +121,10 @@ from .regions import ConstraintSystem, ILPInstance
 _ROW_BATCH = 24
 # pivots one dual re-optimisation may take
 _PIVOT_LIMIT = 100000
+# pivots before a re-optimisation switches to Bland's rule, per call
+# and per tableau row
+_BLAND_BASE = 200
+_BLAND_PER_ROW = 40
 
 Rows = list[tuple[tuple[int, ...], int]]
 # an LP point: integer numerators over one positive denominator
@@ -324,7 +328,7 @@ class _Simplex:
         basis, nonbasic, raised = self.basis, self.nonbasic, self.raised
         lower, upper = self.lower, self.upper
         pivots = 0
-        bland_after = 200 + 40 * len(self.tableau)
+        bland_after = _BLAND_BASE + _BLAND_PER_ROW * len(self.tableau)
         while True:
             values = self._basic_values()
             den = self.den

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
-from xml.sax.saxutils import escape, quoteattr
 import xml.etree.ElementTree as ET
 
 from .dot import quote
@@ -392,6 +391,27 @@ def relaxed_soundness_by_exploration(
         if target in co_reachable
     }
     return "sound" if fireable == wfnet.net.transitions else "unsound"
+
+
+def escape(text: str) -> str:
+    """XML character data with ``&``, ``>`` and ``<`` escaped, as
+    ``xml.sax.saxutils.escape`` writes it (that module is not imported
+    because it pulls in ``urllib.request`` and its network stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """Quoted XML attribute value, as ``xml.sax.saxutils.quoteattr``
+    writes it: newline, carriage return and tab become character
+    references, and the value takes double quotes unless it holds a
+    double quote and no single one."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+    text = text.replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def export_pnml(wfnet: WorkflowNet) -> bytes:

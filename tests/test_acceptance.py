@@ -37,6 +37,7 @@ from regionminer.petri import (
 from regionminer.quality import escaping_edges_precision, inject_noise, token_fitness
 from regionminer.regions import (
     RegionCandidate,
+    build_constraint_system,
     check_region,
     instantiate_causal_ilp,
     sequence_encoding,
@@ -192,24 +193,56 @@ def _trivial_assignment(cs, a, b):
     return vec
 
 
+def _violated_rows(cs, vec):
+    """Rows of ``cs`` that the assignment ``vec`` breaks."""
+
+    def dot(row):
+        return sum(c * v for c, v in zip(row, vec))
+
+    return (
+        [row.source for row in cs.inequality_rows if dot(row.vector) < 0]
+        + [row.source for row in cs.equality_rows if dot(row.vector) != 0]
+        + (["minimum arc"] if dot(cs.min_arc_row()) < 1 else [])
+    )
+
+
 def test_criterion_06_lemma_one_suite():
+    # the wrapper solution satisfies every row of the unfiltered system and
+    # the filter only removes rows, so every admissible pair has a region
+    # at every filter strength
     rng = random.Random(2024)
     failures = []
     for index in range(200):
         pc, cs = random_use_system(
             rng, max_alphabet=6, max_variants=8, max_length=6, max_multiplicity=20
         )
+        graph = build_graph(pc)
+        systems = {(cs.inequality_rows, cs.equality_rows): (None, cs)}
+        for alpha in (0.0, 0.1, 0.5, 0.9):
+            kept = sef_bfs(graph, make_kappa_max(graph, alpha))
+            filtered = build_constraint_system(pc, kept)
+            # a filter that keeps every row repeats a system already solved
+            key = (filtered.inequality_rows, filtered.equality_rows)
+            systems.setdefault(key, (alpha, filtered))
         for a, b in admissible_pairs(pc):
-            solution = solve(instantiate_causal_ilp(cs, a, b))
-            if solution.status != "optimal":
-                failures.append(f"log {index}: pair ({a}, {b}) infeasible")
             trivial = _trivial_assignment(cs, a, b)
-            candidate = RegionCandidate.from_vector(trivial)
-            ok, violated = check_region(candidate, pc)
+            ok, violated = check_region(RegionCandidate.from_vector(trivial), pc)
             if not ok:
                 failures.append(
                     f"log {index}: trivial solution for ({a}, {b}) violates {violated}"
                 )
+            for alpha, system in systems.values():
+                solution = solve(instantiate_causal_ilp(system, a, b))
+                if solution.status != "optimal":
+                    failures.append(
+                        f"log {index}, alpha {alpha}: pair ({a}, {b}) infeasible"
+                    )
+                violated = _violated_rows(system, trivial)
+                if violated:
+                    failures.append(
+                        f"log {index}, alpha {alpha}: trivial solution for ({a}, {b}) "
+                        f"violates {violated}"
+                    )
         if failures:
             break
     _report(6, failures)

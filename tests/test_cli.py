@@ -175,6 +175,18 @@ _L1_NET = '<place id="i"/><place id="o"/>' + "".join(
     for a in "abcdefgh"
 )
 
+# nets that parse but break an arc rule of PetriNet, with the error line
+_ARC_ERRORS = {
+    "arc-to-unknown-node": (
+        _L1_NET + '<arc source="ta" target="nowhere"/>',
+        "error: arc (ta, nowhere) references unknown node",
+    ),
+    "place-to-place-arc": (
+        _L1_NET + '<place id="mid"/><arc source="mid" target="o"/>',
+        "error: arc (mid, o) is not bipartite",
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "body",
@@ -192,6 +204,7 @@ _L1_NET = '<place id="i"/><place id="o"/>' + "".join(
             _L1_NET + '<transition id="o"><name><text>a</text></name></transition>',
             id="transition-with-a-place-id",
         ),
+        *(pytest.param(body, id=name) for name, (body, _) in _ARC_ERRORS.items()),
     ],
 )
 def test_evaluate_pnml_missing_attribute_fails(workspace, capsys, body):
@@ -202,6 +215,9 @@ def test_evaluate_pnml_missing_attribute_fails(workspace, capsys, body):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+    expected = dict(_ARC_ERRORS.values()).get(body)
+    if expected is not None:
+        assert lines[0] == expected
 
 
 def test_noise_command_round_trips(workspace):

@@ -104,7 +104,7 @@ def test_dedupe_places():
     assert dedupe_places([r, other, r]) == [r, other]
 
 
-def test_infeasible_pair_is_skipped(l1):
+def test_pair_without_region_raises(l1):
     from regionminer import ilp
 
     def flaky_solver(inst):
@@ -112,10 +112,21 @@ def test_infeasible_pair_is_skipped(l1):
             return Solution(status="infeasible", assignment=None, objective=None)
         return ilp.solve(inst)
 
-    result = run_discovery(l1, DiscoveryOptions(solver=flaky_solver))
-    assert result.skipped == (("d", "e"),)
-    assert result.pair_regions[("d", "e")] is None
-    assert (frozenset({"d"}), frozenset({"e"})) not in _place_signature(result)
+    with pytest.raises(SolverError, match=r"^pair \(d, e\): "):
+        run_discovery(l1, DiscoveryOptions(solver=flaky_solver))
+
+
+def test_every_causal_pair_yields_a_place():
+    rng = random.Random(91)
+    for _ in range(12):
+        log = random_log(rng, max_alphabet=5, max_variants=6, max_length=5)
+        alpha = rng.choice([None, 0.9, 0.5, 0.1])
+        result = run_discovery(log, DiscoveryOptions(alpha=alpha))
+        assert set(result.pair_regions) == result.causal.arcs
+        assert list(result.regions) == dedupe_places(result.pair_regions.values())
+        assert len(result.net.net.places) == len(result.regions) + 2
+        ok, violations = is_wf_net(result.net.net, "source", "sink")
+        assert ok, (alpha, violations)
 
 
 def test_solver_error_names_the_pair(l1, monkeypatch):

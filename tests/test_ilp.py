@@ -10,6 +10,7 @@ from regionminer import DiscoveryOptions, ilp, run_discovery
 from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.ilp import _solve_lp, brute_force, lp_relax, solve
+from regionminer.petri import export_pnml
 from regionminer.regions import (
     ConstraintSystem,
     ILPInstance,
@@ -18,6 +19,7 @@ from regionminer.regions import (
     instantiate_causal_ilp,
 )
 
+from .conftest import DATA
 from .util import admissible_pairs, random_instance, random_use_system
 
 
@@ -197,10 +199,9 @@ def test_lp_relax_bounds_ilp_on_random_instances():
         inst = random_instance(rng)
         relax = lp_relax(inst)
         exact = brute_force(inst)
-        if exact.status == "optimal":
-            assert relax.status == "optimal"
-            assert relax.value <= exact.objective
-        # relaxation may stay feasible when the binary problem is not
+        # every pair of a random instance has a region, filtered or not
+        assert exact.status == relax.status == "optimal"
+        assert relax.value <= exact.objective
 
 
 def test_lp_relax_matches_scipy_on_random_instances():
@@ -464,6 +465,25 @@ def test_search_path_is_pinned(request):
             sum(s.pivots for s in solutions),
             sum(s.nodes for s in solutions),
         ) == work, (fixture, alpha)
+
+
+def test_blands_rule_from_the_first_pivot(request, monkeypatch):
+    # no other test reaches the fallback; forced from the first pivot it
+    # must still reach the oracle's optimum and the golden nets (only the
+    # counts pinned by test_search_path_is_pinned move)
+    monkeypatch.setattr(ilp, "_BLAND_BASE", -1)
+    monkeypatch.setattr(ilp, "_BLAND_PER_ROW", 0)
+    for seed in range(400):
+        inst = random_instance(random.Random(seed))
+        assert solve(inst) == brute_force(inst), seed
+    for fixture, alpha, golden in [
+        ("l1", None, "l1_unfiltered.pnml"),
+        ("l1_prime", 0.75, "l1_prime_alpha_0.75.pnml"),
+        ("l1_prime", None, "l1_prime_unfiltered.pnml"),
+    ]:
+        log = request.getfixturevalue(fixture)
+        net = run_discovery(log, DiscoveryOptions(alpha=alpha)).net
+        assert export_pnml(net) == (DATA / golden).read_bytes(), golden
 
 
 def test_branching_takes_the_value_nearest_one_half():

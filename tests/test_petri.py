@@ -1,6 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from regionminer.errors import ParseError, ReplayError
 from regionminer.eventlog import EventLog
@@ -8,17 +14,21 @@ from regionminer.petri import (
     PetriNet,
     WorkflowNet,
     enabled,
+    escape,
     explore_state_space,
     export_dot,
     export_pnml,
     fire,
     is_wf_net,
     parse_pnml,
+    quoteattr,
     relaxed_soundness_by_exploration,
     relaxed_soundness_witnesses,
     replay,
 )
 from regionminer.quality import token_fitness
+
+from .conftest import DATA
 
 
 @pytest.fixture()
@@ -189,6 +199,38 @@ def test_is_wf_net_reports_isolated_transition(w1):
     assert "t_iso" in violations
 
 
+def _with_arcs(wfnet, *arcs):
+    net = wfnet.net
+    return PetriNet(net.places, net.transitions, net.arcs | set(arcs), net.labels)
+
+
+def test_is_wf_net_rejects_arc_into_source(w1):
+    ok, violations = is_wf_net(_with_arcs(w1, ("h", "start")), "start", "end")
+    assert not ok
+    assert "source has incoming arcs: ['h']" in violations
+
+
+def test_is_wf_net_rejects_arc_out_of_sink(w1):
+    ok, violations = is_wf_net(_with_arcs(w1, ("end", "a")), "start", "end")
+    assert not ok
+    assert "sink has outgoing arcs: ['a']" in violations
+
+
+def test_is_wf_net_rejects_missing_boundary_place(w1):
+    assert is_wf_net(w1.net, "start", "nowhere") == (
+        False,
+        ["missing boundary place start/nowhere"],
+    )
+    assert is_wf_net(w1.net, "nowhere", "end") == (
+        False,
+        ["missing boundary place nowhere/end"],
+    )
+
+
+def test_is_wf_net_rejects_source_equal_to_sink(w1):
+    assert is_wf_net(w1.net, "start", "start") == (False, ["source equals sink"])
+
+
 def test_witnesses_cover_w1(w1, l1):
     witnesses = relaxed_soundness_witnesses(w1, l1)
     assert all(witnesses[t] is not None for t in w1.net.transitions)
@@ -292,3 +334,43 @@ def test_dot_output_shape(w1):
     for line in body:
         assert re.fullmatch(r"\s+(rankdir=LR;|\S.*;)", line), line
     assert dot.count("{") == dot.count("}")
+
+
+_XML_TEXT = st.text(
+    alphabet=st.sampled_from(list("&<>\"'\n\r\tab ") + ["é", "ß", "λ", "中", "😀"]),
+    max_size=12,
+)
+
+
+# one example per quote character quoteattr can choose
+@example("a'b")
+@example('a"b')
+@example("\"'<&>\n\r\t中😀")
+@given(_XML_TEXT)
+def test_escapes_match_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+def test_import_leaves_sax_and_urllib_unloaded():
+    # the PNML escapes are local: xml.sax.saxutils would load urllib.request,
+    # http.client, email and ssl on every start
+    script = "\n".join(
+        [
+            "import sys",
+            "import regionminer",
+            "from regionminer.petri import export_pnml, parse_pnml",
+            f"export_pnml(parse_pnml(open({str(DATA / 'l1_unfiltered.pnml')!r}, 'rb').read()))",
+            "print(*sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))",
+        ]
+    )
+    path = [str(DATA.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

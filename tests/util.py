@@ -52,7 +52,9 @@ def admissible_pairs(pc):
 
 def random_instance(rng: random.Random):
     """Region-form instance: random system, random admissible pair, and
-    sometimes an aggressive filter to exercise infeasible cases."""
+    sometimes a filtered system, whose fewer rows move the optimum. It is
+    always feasible: the wrapper solution satisfies every row, filtered or
+    not (criterion 6)."""
     alpha = rng.choice([None, None, None, 0.9, 0.5, 0.1])
     pc, cs = random_use_system(
         rng,
