@@ -230,6 +230,11 @@ class PrefixClosure:
     frequency (own multiplicity plus the children's frequencies) and own
     multiplicity in the log. ``start``/``end`` carry the unique start/end
     activities when the closed log was a USE log.
+
+    ``numbering`` gives every node a vertex id (its distinct encoding row)
+    and a Parikh id (its distinct Parikh vector), building each row once;
+    the filter and the constraint body group nodes by these ids.
+    ``encodings`` is the per-node view of the same row tuples.
     """
 
     prefixes: tuple[Trace, ...]
@@ -253,21 +258,73 @@ class PrefixClosure:
         return dict(zip(self.prefixes, self.frequencies))
 
     @cached_property
-    def encodings(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's ``regions.sequence_encoding`` over
-        ``ordered_alphabet()``, by node index, computed once. Each row
-        comes from its parent's: the parent's negated tail is the head,
-        and the tail counts the last activity once more."""
+    def numbering(self) -> EncodingNumbering:
+        """The distinct ``regions.sequence_encoding`` rows over
+        ``ordered_alphabet()``, each built and numbered once.
+
+        A node's row ``(1, parikh(parent), -parikh(prefix))`` depends only
+        on its parent's Parikh vector and its last activity, so one pass in
+        node order keys the rows by that pair and builds a row only when
+        its key is new. Computed on first use only: scoring never needs it.
+        """
         alphabet = self.ordered_alphabet()
         n = len(alphabet)
         column = {a: n + 1 + i for i, a in enumerate(alphabet)}
-        rows = [(1,) + (0,) * (2 * n)]
-        for prefix, parent in zip(self.prefixes[1:], self.parents[1:]):
-            tail = rows[parent][n + 1 :]
-            row = [1, *(-c for c in tail), *tail]
-            row[column[prefix[-1]]] -= 1
-            rows.append(tuple(row))
-        return tuple(rows)
+        root = (1,) + (0,) * (2 * n)
+        vertices, first_nodes = [root], [0]
+        tails = {root[n + 1 :]: 0}  # negated Parikh vector -> Parikh id
+        tail_of = [root[n + 1 :]]  # by Parikh id
+        # by the parent's Parikh id: last activity -> (vertex id, Parikh id)
+        keyed: list[dict[str, tuple[int, int]]] = [{}]
+        vertex_ids, parikh_ids = [0], [0]
+        prefixes, parents = self.prefixes, self.parents
+        for index in range(1, len(prefixes)):
+            parent = parikh_ids[parents[index]]
+            last = prefixes[index][-1]
+            ids = keyed[parent].get(last)
+            if ids is None:
+                tail = tail_of[parent]
+                row = [1, *(-c for c in tail), *tail]
+                row[column[last]] -= 1
+                row = tuple(row)
+                tail = row[n + 1 :]
+                pid = tails.setdefault(tail, len(tails))
+                if pid == len(tail_of):
+                    tail_of.append(tail)
+                    keyed.append({})
+                ids = keyed[parent][last] = (len(vertices), pid)
+                vertices.append(row)
+                first_nodes.append(index)
+            vertex_ids.append(ids[0])
+            parikh_ids.append(ids[1])
+        return EncodingNumbering(
+            tuple(vertex_ids), tuple(parikh_ids), tuple(vertices), tuple(first_nodes)
+        )
+
+    @cached_property
+    def encodings(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's ``regions.sequence_encoding`` over
+        ``ordered_alphabet()``, by node index; nodes with equal rows share
+        one tuple of ``numbering.vertices``."""
+        numbering = self.numbering
+        return tuple(map(numbering.vertices.__getitem__, numbering.vertex_ids))
+
+
+@dataclass(frozen=True)
+class EncodingNumbering:
+    """Vertex and Parikh ids of a prefix tree's nodes.
+
+    Two nodes share a vertex id exactly when their encoding rows are
+    equal, and a Parikh id exactly when their prefixes have equal Parikh
+    vectors. Ids are numbered in order of first occurrence in node order,
+    so vertex 0 is the empty sequence's row and ``first_nodes[v]`` grows
+    with ``v``.
+    """
+
+    vertex_ids: tuple[int, ...]  # by node index
+    parikh_ids: tuple[int, ...]  # by node index
+    vertices: tuple[tuple[int, ...], ...]  # the encoding row, by vertex id
+    first_nodes: tuple[int, ...]  # the first node with the row, by vertex id
 
 
 def prefix_closure(

@@ -1,11 +1,13 @@
 """Frequency filtering on the constraint body via the sequence-encoding graph.
 
-Vertices are the deduplicated encoding rows of the closure's prefix tree
-(``PrefixClosure.encodings``), the empty sequence's row being the root;
-arcs are the tree edges, merged where their rows coincide, and carry the
-frequency mass that flows along them. A breadth-first sweep keeps, per
-vertex, only the children selected by a pluggable filter; everything the
-sweep never reaches is stripped from the constraint body.
+Vertices are the distinct encoding rows of the closure's prefix tree,
+built once each and numbered by ``PrefixClosure.numbering``, the empty
+sequence's row being the root (vertex 0); arcs are the tree edges, merged
+where their rows coincide, and carry the frequency mass that flows along
+them. The graph is summed up over vertex ids and keyed by the row tuples
+only when it is returned. A breadth-first sweep keeps, per vertex, only
+the children selected by a pluggable filter; everything the sweep never
+reaches is stripped from the constraint body.
 """
 
 from __future__ import annotations
@@ -50,20 +52,24 @@ def build_graph(pc: PrefixClosure) -> SequenceEncodingGraph:
     tree edge becomes an arc between the rows of its two nodes. It is
     acyclic by construction: every arc runs from a prefix's row to the
     row of a prefix one event longer, and a row's ``encoding_length`` is
-    its prefix's length."""
-    table = pc.encodings
-    vertex_weight: dict[EncodingVector, int] = {}
-    children: dict[EncodingVector, dict[EncodingVector, int]] = {}
-    for parent, freq, vec in zip(pc.parents, pc.frequencies, table):
-        vertex_weight[vec] = vertex_weight.get(vec, 0) + freq
-        children.setdefault(vec, {})
-        if parent >= 0:
-            arcs = children[table[parent]]
-            arcs[vec] = arcs.get(vec, 0) + freq
+    its prefix's length. Weights are summed by vertex id."""
+    numbering = pc.numbering
+    vertices, vertex_ids = numbering.vertices, numbering.vertex_ids
+    weights = [0] * len(vertices)
+    arcs: list[dict[int, int]] = [{} for _ in vertices]  # by parent vertex id
+    weights[0] = pc.frequencies[0]
+    nodes = zip(pc.parents[1:], pc.frequencies[1:], vertex_ids[1:])
+    for parent, freq, vertex in nodes:
+        weights[vertex] += freq
+        out = arcs[vertex_ids[parent]]
+        out[vertex] = out.get(vertex, 0) + freq
     return SequenceEncodingGraph(
-        root=table[0],
-        children=children,
-        vertex_weight=vertex_weight,
+        root=vertices[0],
+        children={
+            vertices[v]: {vertices[w]: weight for w, weight in out.items()}
+            for v, out in enumerate(arcs)
+        },
+        vertex_weight=dict(zip(vertices, weights)),
         alphabet=pc.ordered_alphabet(),
     )
 

@@ -187,55 +187,62 @@ def _independent_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
     return kept
 
 
-def _grouped(rows: Iterable[tuple[EncodingVector, Trace, int]]) -> tuple[Row, ...]:
-    """Merge rows with equal vectors: first source, summed weights, in
-    order of first occurrence."""
-    groups: dict[EncodingVector, list] = {}
-    for vec, source, weight in rows:
-        if vec in groups:
-            groups[vec][1] += weight
-        else:
-            groups[vec] = [source, weight]
-    return tuple(Row(vec, source, weight) for vec, (source, weight) in groups.items())
-
-
 def build_constraint_system(
     pc: PrefixClosure, retained: Iterable[EncodingVector] | None = None
 ) -> ConstraintSystem:
     """Assemble the constraint system for a USE prefix-closure.
 
-    Rows are the closure's encodings, deduplicated by exact vector
-    equality (order abstraction: different interleavings share a row) with
-    frequencies summed; a full trace (a node with a multiplicity) has an
-    equality row mirroring its tail. When ``retained`` is given, only
-    inequality rows whose vector survived the filter are emitted, and a
-    trace's emptiness equality is kept only when its whole path survived.
+    Rows are the closure's distinct encodings (``PrefixClosure.numbering``
+    builds each once; order abstraction: different interleavings share a
+    row), grouped by vertex id with frequencies summed and the first
+    node's prefix as source, in order of first occurrence. A full trace (a
+    node with a multiplicity) has an equality row mirroring its tail,
+    grouped by Parikh id. When ``retained`` is given, it becomes one flag
+    per vertex: only inequality rows whose vector survived the filter are
+    emitted, and a trace's emptiness equality is kept only when its whole
+    path survived.
     """
     alphabet = pc.ordered_alphabet()
     n = len(alphabet)
-    table = pc.encodings
-    inequality_rows = _grouped(zip(table[1:], pc.prefixes[1:], pc.frequencies[1:]))
-    kept = [True] * len(table)  # kept[i]: node i's whole path survived the filter
+    numbering = pc.numbering
+    vertices, vertex_ids = numbering.vertices, numbering.vertex_ids
+    weights = [0] * len(vertices)
+    for vertex, freq in zip(vertex_ids, pc.frequencies):
+        weights[vertex] += freq
+    flags = [True] * len(vertices)  # flags[v]: vertex v survived the filter
+    kept = [True] * len(vertex_ids)  # kept[i]: node i's whole path survived
     if retained is not None:
         retained = frozenset(retained)
-        unknown = retained - {row.vector for row in inequality_rows}
+        flags = [vector in retained for vector in vertices]
+        unknown = len(retained) - sum(flags[1:])
         if unknown:
             raise ValueError(
-                f"{len(unknown)} retained vector(s) do not occur in the closure"
+                f"{unknown} retained vector(s) do not occur in the closure"
             )
-        inequality_rows = tuple(r for r in inequality_rows if r.vector in retained)
         for index, parent in enumerate(pc.parents[1:], 1):
-            kept[index] = kept[parent] and table[index] in retained
-    equality_rows = _grouped(
-        ((1,) + tuple(-c for c in vec[n + 1 :]) + vec[n + 1 :], prefix, mult)
-        for vec, prefix, mult, whole in zip(table, pc.prefixes, pc.multiplicities, kept)
-        if mult and whole
+            kept[index] = kept[parent] and flags[vertex_ids[index]]
+    inequality_rows = tuple(
+        Row(vertices[v], pc.prefixes[first], weights[v])
+        for v, first in enumerate(numbering.first_nodes)
+        if v and flags[v]
     )
+    groups: dict[int, list] = {}  # Parikh id -> [first node, summed weight]
+    for index, (pid, mult) in enumerate(zip(numbering.parikh_ids, pc.multiplicities)):
+        if mult and kept[index]:
+            if pid in groups:
+                groups[pid][1] += mult
+            else:
+                groups[pid] = [index, mult]
+    equality_rows = []
+    for index, weight in groups.values():
+        tail = vertices[vertex_ids[index]][n + 1 :]
+        vector = (1,) + tuple(-c for c in tail) + tail
+        equality_rows.append(Row(vector, pc.prefixes[index], weight))
 
     return ConstraintSystem(
         alphabet=alphabet,
         inequality_rows=inequality_rows,
-        equality_rows=equality_rows,
+        equality_rows=tuple(equality_rows),
         objective=_objective_from_rows(inequality_rows, n),
     )
 
@@ -295,13 +302,18 @@ def check_region(
     candidate: RegionCandidate, pc: PrefixClosure
 ) -> tuple[bool, Trace | None]:
     """Evaluate every prefix inequality on the candidate; returns the first
-    violated source sequence (rows ordered by length, then sequence)."""
+    violated source sequence (rows ordered by length, then sequence).
+
+    Each distinct row is evaluated once, in vertex id order. Vertex ids
+    follow first occurrence in node order, so the first violated vertex's
+    first node is the first violated prefix."""
     vec = candidate.vector()
     if len(vec) != 2 * len(pc.ordered_alphabet()) + 1:
         raise ValueError("candidate dimensions do not match the closure alphabet")
-    for prefix, row in zip(pc.prefixes[1:], pc.encodings[1:]):
+    numbering = pc.numbering
+    for row, first in zip(numbering.vertices[1:], numbering.first_nodes[1:]):
         if sum(r * v for r, v in zip(row, vec)) < 0:
-            return False, prefix
+            return False, pc.prefixes[first]
     return True, None
 
 

@@ -482,6 +482,8 @@ _FIRST_LP = "lp/000___start____a.lp"
     [
         ("l1_prime.log", "--alpha=0.75", "seg.dot", "l1_prime_alpha_0.75.seg.dot"),
         ("l1_prime.log", "--alpha=0.75", _FIRST_LP, "l1_prime_alpha_0.75_000.lp"),
+        ("l1.log", "--alpha=0.5", "seg.dot", "l1_alpha_0.5.seg.dot"),
+        ("l1.log", "--alpha=0.5", "net.pnml", "l1_alpha_0.5.pnml"),
         ("l1.log", "--no-filter", _FIRST_LP, "l1_unfiltered_000.lp"),
     ],
 )

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regionminer.eventlog import EventLog, prefix_closure, use_transform
+from regionminer.eventlog import EventLog, parikh, prefix_closure, use_transform
+from regionminer.filtering import build_graph
 from regionminer.regions import (
     residency_vector,
     RegionCandidate,
@@ -292,3 +293,94 @@ def test_filtered_equalities_follow_the_per_cut_rule(pairs, data):
     assert system.inequality_rows == tuple(
         row for row in full.inequality_rows if row.vector in retained
     )
+
+
+# few activities and long traces, so that distinct prefixes often share a
+# row (equal Parikh vector before the same last activity) and rows merge
+merging_logs = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abc"), max_size=6).map(tuple),
+        st.integers(min_value=1, max_value=9),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _closure(pairs, wrapped):
+    log = EventLog.from_pairs(pairs)
+    return prefix_closure(*use_transform(log)) if wrapped else prefix_closure(log)
+
+
+@given(merging_logs, st.booleans(), st.data())
+def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
+    # the reference hashes sequence_encoding once per node
+    pc = _closure(pairs, wrapped)
+    alphabet = pc.ordered_alphabet()
+    rows = [sequence_encoding(prefix, alphabet) for prefix in pc.prefixes]
+    numbering = pc.numbering
+    # a bijection: a vertex id names exactly one row and a Parikh id
+    # exactly one Parikh vector, each numbered at its first node
+    assert len(set(numbering.vertices)) == len(numbering.vertices)
+    assert [numbering.vertices[v] for v in numbering.vertex_ids] == rows
+    assert list(numbering.first_nodes) == [
+        rows.index(vertex) for vertex in numbering.vertices
+    ]
+    vectors = [parikh(prefix, alphabet) for prefix in pc.prefixes]
+    by_id = dict(zip(numbering.parikh_ids, vectors))
+    assert [by_id[p] for p in numbering.parikh_ids] == vectors
+    assert len(set(by_id.values())) == len(by_id) == max(numbering.parikh_ids) + 1
+
+    vertex_weight, children = {}, {}
+    for row, parent, freq in zip(rows, pc.parents, pc.frequencies):
+        vertex_weight[row] = vertex_weight.get(row, 0) + freq
+        children.setdefault(row, {})
+        if parent >= 0:
+            arcs = children[rows[parent]]
+            arcs[row] = arcs.get(row, 0) + freq
+    graph = build_graph(pc)
+    assert graph.root == rows[0]
+    assert list(graph.vertex_weight.items()) == list(vertex_weight.items())
+    assert [(v, list(arcs.items())) for v, arcs in graph.children.items()] == [
+        (v, list(arcs.items())) for v, arcs in children.items()
+    ]
+
+    distinct = sorted(set(rows[1:]))
+    size = len(distinct)
+    flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    retained = {vector for vector, flag in zip(distinct, flags) if flag}
+    groups: dict = {}
+    for row, prefix, freq in zip(rows[1:], pc.prefixes[1:], pc.frequencies[1:]):
+        source, weight = groups.get(row, (prefix, 0))
+        groups[row] = (source, weight + freq)
+    for subset in (None, retained):
+        assert build_constraint_system(pc, subset).inequality_rows == tuple(
+            Row(vector, source, weight)
+            for vector, (source, weight) in groups.items()
+            if subset is None or vector in subset
+        )
+
+
+def _first_violated_prefix(pc, vector):
+    alphabet = pc.ordered_alphabet()
+    for prefix in pc.prefixes[1:]:
+        row = sequence_encoding(prefix, alphabet)
+        if sum(r * v for r, v in zip(row, vector)) < 0:
+            return False, prefix
+    return True, None
+
+
+@given(merging_logs, st.booleans(), st.data())
+def test_check_region_matches_the_per_node_reference(pairs, wrapped, data):
+    pc = _closure(pairs, wrapped)
+    n = len(pc.ordered_alphabet())
+    width = 2 * n + 1
+    drawn = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    # consuming from every activity and producing nothing violates the
+    # first non-empty prefix already
+    consuming = [0] * (n + 1) + [1] * n
+    for vector in (drawn, consuming):
+        expected = _first_violated_prefix(pc, vector)
+        assert check_region(RegionCandidate.from_vector(vector), pc) == expected
+    if len(pc.prefixes) > 1:
+        assert _first_violated_prefix(pc, consuming) == (False, pc.prefixes[1])
