@@ -1,34 +1,44 @@
-"""Causal relation oracle over unique-start/end logs.
+"""Causal relation oracle over the prefix tree of a unique-start/end log.
 
 Builds a directed graph of likely activity causalities from weighted
-directly-follows counts, then repairs it so that every activity lies on a
-path from the start activity to the end activity. That structural property
-is what lets the discovery layer guarantee a workflow net. Repair runs
-one growth rule twice: on the graph from the start, then on its reverse
-(arcs and counts reversed) from the end. Arc weights are not stored; the
-directly-follows counts determine them.
+directly-follows counts, read off the prefix tree (``PrefixClosure``) the
+rest of discovery uses, so no stage here walks the log's events. It then
+repairs the graph so that every activity lies on a path from the start
+activity to the end activity. That structural property is what lets the
+discovery layer guarantee a workflow net. Repair runs one growth rule
+twice: on the graph from the start, then on its reverse (arcs and counts
+reversed) from the end. Arc weights are not stored; the directly-follows
+counts determine them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .dot import quote
 from .errors import GraphRepairError
-from .eventlog import EventLog, is_use_log
+from .eventlog import PrefixClosure
 
 Arc = tuple[str, str]
 
 DEFAULT_DEPENDENCY_THRESHOLD = 0.9
 
 
-def directly_follows(log: EventLog) -> dict[Arc, int]:
-    """Count adjacent pairs (a immediately followed by b), multiplicity-weighted."""
+def directly_follows(pc: PrefixClosure) -> dict[Arc, int]:
+    """Count adjacent pairs (a immediately followed by b), multiplicity-weighted.
+
+    Every occurrence of ``a b`` in a trace ends a prefix of depth >= 2, so
+    each such tree node adds its closure frequency (the number of trace
+    instances passing through it) to the pair of its parent's last
+    activity and its own.
+    """
     counts: dict[Arc, int] = {}
-    for trace, mult in log.traces.items():
-        for left, right in zip(trace, trace[1:]):
-            counts[(left, right)] = counts.get((left, right), 0) + mult
+    for prefix, frequency in zip(pc.prefixes, pc.frequencies):
+        if len(prefix) > 1:
+            arc = prefix[-2:]
+            counts[arc] = counts.get(arc, 0) + frequency
     return counts
 
 
@@ -60,29 +70,59 @@ class CausalGraph:
         return {(a, b): dependency(a, b, self.df) for a, b in self.arcs}
 
 
+def _is_use(pc: PrefixClosure) -> bool:
+    """True iff ``pc`` is the closure of a unique-start/end log: every
+    trace starts with ``pc.start``, ends with ``pc.end``, and holds
+    neither anywhere else.
+
+    Read off the tree: node 0 has no multiplicity (the empty trace is no
+    USE trace), the only depth-1 node is ``(start,)`` and has no
+    multiplicity, no deeper node ends in ``start``, and a deeper node has
+    a multiplicity exactly when it ends in ``end``, and then no children
+    (its multiplicity equals its frequency).
+    """
+    start, end, prefixes = pc.start, pc.end, pc.prefixes
+    if start is None or end is None or start == end:
+        return False
+    # in (length, prefix) order node 1 is the first depth-1 node and node 2
+    # the next one, if there is one
+    if prefixes[1:2] != ((start,),) or len(prefixes) > 2 and len(prefixes[2]) == 1:
+        return False
+    if any(pc.multiplicities[:2]):
+        return False
+    deeper = islice(zip(prefixes, pc.frequencies, pc.multiplicities), 2, None)
+    for prefix, frequency, multiplicity in deeper:
+        last = prefix[-1]
+        if last == start or multiplicity != (frequency if last == end else 0):
+            return False
+    return True
+
+
 def build_causal_graph(
-    log: EventLog, start: str, end: str, threshold: float = DEFAULT_DEPENDENCY_THRESHOLD
+    pc: PrefixClosure, threshold: float = DEFAULT_DEPENDENCY_THRESHOLD
 ) -> CausalGraph:
     """Keep every pair whose dependency score reaches ``threshold``.
 
-    Arcs into the start activity or out of the end activity are dropped
-    regardless of score.
+    ``pc`` is the prefix tree of a unique-start/end log, with ``start``
+    and ``end`` set (ValueError otherwise); its alphabet gives the
+    vertices. Arcs into the start activity or out of the end activity are
+    dropped regardless of score.
     """
-    if not is_use_log(log, start, end):
-        raise ValueError("causal graph requires a unique-start/end log")
-    df = directly_follows(log)
+    if not _is_use(pc):
+        raise ValueError("causal graph requires the closure of a unique-start/end log")
+    df = directly_follows(pc)
     arcs: set[Arc] = set()
-    for a in log.alphabet:
-        for b in log.alphabet:
-            if b == start or a == end:
+    for a in pc.alphabet:
+        for b in pc.alphabet:
+            if b == pc.start or a == pc.end:
                 continue
             if dependency(a, b, df) >= threshold:
                 arcs.add((a, b))
     return CausalGraph(
-        vertices=frozenset(log.alphabet),
+        vertices=pc.alphabet,
         arcs=frozenset(arcs),
-        start=start,
-        end=end,
+        start=pc.start,
+        end=pc.end,
         df=df,
     )
 

@@ -95,9 +95,7 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
 
     use_log, start, end = use_transform(log)
     pc = prefix_closure(use_log, start, end)
-    causal = repair_for_path_property(
-        build_causal_graph(use_log, start, end, options.dependency_threshold)
-    )
+    causal = repair_for_path_property(build_causal_graph(pc, options.dependency_threshold))
 
     encoding_graph = None
     retained = None

@@ -82,13 +82,18 @@ class EventLog:
 def parse_trace_log(text: str) -> EventLog:
     """Parse the plain-text trace-log format.
 
-    Each non-blank, non-comment line is ``<count>;<act> <act> ...`` or
-    ``<act> <act> ...`` (count defaults to 1). ``#`` starts a comment line.
-    Duplicate lines are bag-summed. A leading byte-order mark is ignored.
+    Lines end at LF; a CR before it is stripped with the other surrounding
+    whitespace, so CRLF text parses like its LF twin. Each non-blank,
+    non-comment line is ``<count>;<act> <act> ...`` or ``<act> <act> ...``
+    (count defaults to 1), and any whitespace separates activities. ``#``
+    starts a comment line. Duplicate lines are bag-summed. A leading
+    byte-order mark is ignored. Each distinct activity name is checked
+    once, on its first occurrence.
     """
     bag: dict[Trace, int] = {}
+    accepted: set[str] = set()  # the names that passed is_activity_name
     text = text.removeprefix("\ufeff")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -104,9 +109,12 @@ def parse_trace_log(text: str) -> EventLog:
         else:
             count, rest = 1, line
         trace = tuple(rest.split())
-        for activity in trace:
-            if not is_activity_name(activity):
-                raise ParseError(f"invalid activity token {activity!r}", line=lineno)
+        if not accepted.issuperset(trace):
+            for activity in trace:
+                if activity not in accepted:
+                    if not is_activity_name(activity):
+                        raise ParseError(f"invalid activity token {activity!r}", line=lineno)
+                    accepted.add(activity)
         bag[trace] = bag.get(trace, 0) + count
     return EventLog(traces=bag)
 
@@ -205,19 +213,6 @@ def use_transform(log: EventLog) -> tuple[EventLog, str, str]:
     end = _fresh(END_TOKEN, log.alphabet | {start})
     bag = {(start,) + trace + (end,): count for trace, count in log.traces.items()}
     return EventLog(traces=bag), start, end
-
-
-def is_use_log(log: EventLog, start: str, end: str) -> bool:
-    """Check the unique-start/end predicate for the given symbols."""
-    if start == end or log.is_empty():
-        return False
-    for trace in log.traces:
-        if len(trace) < 2 or trace[0] != start or trace[-1] != end:
-            return False
-        body = trace[1:-1]
-        if start in body or end in body or start == trace[-1] or end == trace[0]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -331,23 +326,24 @@ def prefix_closure(
     log: EventLog, start: str | None = None, end: str | None = None
 ) -> PrefixClosure:
     """The prefix tree of a log's prefix-closure: one pass over the variants
-    builds a trie, and a breadth-first walk over each node's children in
-    sorted order numbers its nodes in (length, prefix) order."""
+    in sorted order builds a trie whose children arrive in ascending
+    activity order, so a breadth-first walk numbers its nodes in
+    (length, prefix) order."""
     if log.is_empty():
         raise ValueError("cannot close an empty log")
     children: list[dict[str, int]] = [{}]  # per trie node: children by activity
     own: dict[int, int] = {}  # per trie node a variant ends at: its multiplicity
-    for trace, count in log.traces.items():
+    for trace in sorted(log.traces):
         node = 0
         for activity in trace:
             if activity not in children[node]:
                 children[node][activity] = len(children)
                 children.append({})
             node = children[node][activity]
-        own[node] = count
+        own[node] = log.traces[trace]
     prefixes, parents, trie = [()], [-1], [0]  # trie: the trie node behind each node
     for index, at in enumerate(trie):  # trie grows while it is walked
-        for activity, child in sorted(children[at].items()):
+        for activity, child in children[at].items():
             prefixes.append(prefixes[index] + (activity,))
             parents.append(index)
             trie.append(child)

@@ -1,11 +1,15 @@
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from regionminer import eventlog
+from regionminer.causal import build_causal_graph
 from regionminer.errors import ParseError
 from regionminer.eventlog import (
     EventLog,
-    is_use_log,
     ordered_alphabet,
     parikh,
     parse_trace_log,
@@ -61,6 +65,59 @@ def test_parse_rejects_bad_counts(text):
 def test_parse_rejects_semicolon_in_activity():
     with pytest.raises(ParseError):
         parse_trace_log("2;a b;c")
+
+
+def test_parse_splits_lines_at_lf_only():
+    # U+2028 is whitespace inside a line, not a line break
+    assert parse_trace_log("3;a\u2028b c\n").traces == {("a", "b", "c"): 3}
+    # a lone CR ends no line, so "2;c" is a token of line 1
+    with pytest.raises(ParseError, match="'2;c'") as exc:
+        parse_trace_log("1;a b\r2;c\n")
+    assert exc.value.line == 1
+
+
+def test_parse_crlf_equals_lf(l1_text):
+    assert "\r" not in l1_text
+    assert parse_trace_log(l1_text.replace("\n", "\r\n")) == parse_trace_log(l1_text)
+
+
+def test_parse_error_line_counts_lf_only():
+    with pytest.raises(ParseError) as exc:
+        parse_trace_log("a\x0bb\x0cc\x1cd\x85e\u2029f\nx;y\n")
+    assert exc.value.line == 2
+
+
+bad_tokens = st.sampled_from(["x\x01", "\x00", "\ud800", "b\ufffe", "\uffff"])
+good_lines = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4).map(" ".join)
+
+
+@given(good_lines, good_lines, bad_tokens)
+def test_parse_reports_the_first_line_of_a_repeated_bad_token(first, middle, bad):
+    # line 1 accepts valid names first; the bad token sits on lines 2 and 4
+    text = f"{first}\n{middle} {bad}\n{middle}\n{bad} {first}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_trace_log(text)
+    assert exc.value.line == 2
+    assert repr(bad) in str(exc.value)
+
+
+@given(st.lists(good_lines, min_size=1, max_size=5), bad_tokens)
+def test_parse_checks_names_afresh_on_every_call(lines, bad):
+    text = "\n".join(lines)
+    checked = []
+    for _ in range(2):
+        with mock.patch.object(
+            eventlog, "is_activity_name", wraps=eventlog.is_activity_name
+        ) as check:
+            parse_trace_log(text)
+        checked.append(Counter(call.args[0] for call in check.call_args_list))
+    # each call checks every distinct name twice: once where the parser
+    # first meets it and once more in EventLog; the second call as well
+    names = set(text.split())
+    assert checked == [Counter(dict.fromkeys(names, 2))] * 2
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse_trace_log(f"{text} {bad}")
 
 
 def test_multiplicity_must_be_positive():
@@ -152,7 +209,8 @@ def test_use_transform_l1(l1):
     assert use.total_instances == 55
     assert start not in l1.alphabet and end not in l1.alphabet
     assert all(t[0] == start and t[-1] == end for t in use.traces)
-    assert is_use_log(use, start, end)
+    # the prefix tree passes the unique-start/end check
+    assert build_causal_graph(prefix_closure(use, start, end)).start == start
 
 
 def test_use_transform_single_trace():
@@ -165,7 +223,7 @@ def test_use_transform_disambiguates_reserved_names():
     use, start, end = use_transform(log)
     assert start not in log.alphabet and end not in log.alphabet
     assert start != end
-    assert is_use_log(use, start, end)
+    assert build_causal_graph(prefix_closure(use, start, end)).end == end
 
 
 def test_use_transform_rejects_empty():
