@@ -69,7 +69,7 @@ class DiscoveryResult:
     system: ConstraintSystem
     causal: CausalGraph
     encoding_graph: SequenceEncodingGraph | None
-    retained: frozenset | None
+    retained: frozenset[int] | None  # the vertex ids the filter kept
     regions: tuple[RegionCandidate, ...]
     pair_regions: Mapping[Pair, RegionCandidate]
 

@@ -229,7 +229,6 @@ class PrefixClosure:
     ``numbering`` gives every node a vertex id (its distinct encoding row)
     and a Parikh id (its distinct Parikh vector), building each row once;
     the filter and the constraint body group nodes by these ids.
-    ``encodings`` is the per-node view of the same row tuples.
     """
 
     prefixes: tuple[Trace, ...]
@@ -260,7 +259,8 @@ class PrefixClosure:
         A node's row ``(1, parikh(parent), -parikh(prefix))`` depends only
         on its parent's Parikh vector and its last activity, so one pass in
         node order keys the rows by that pair and builds a row only when
-        its key is new. Computed on first use only: scoring never needs it.
+        its key is new, and sums each vertex's closure frequency. Computed
+        on first use only: scoring never needs it.
         """
         alphabet = self.ordered_alphabet()
         n = len(alphabet)
@@ -272,7 +272,8 @@ class PrefixClosure:
         # by the parent's Parikh id: last activity -> (vertex id, Parikh id)
         keyed: list[dict[str, tuple[int, int]]] = [{}]
         vertex_ids, parikh_ids = [0], [0]
-        prefixes, parents = self.prefixes, self.parents
+        prefixes, parents, frequencies = self.prefixes, self.parents, self.frequencies
+        weights = [frequencies[0]]
         for index in range(1, len(prefixes)):
             parent = parikh_ids[parents[index]]
             last = prefixes[index][-1]
@@ -290,19 +291,12 @@ class PrefixClosure:
                 ids = keyed[parent][last] = (len(vertices), pid)
                 vertices.append(row)
                 first_nodes.append(index)
+                weights.append(0)
             vertex_ids.append(ids[0])
             parikh_ids.append(ids[1])
-        return EncodingNumbering(
-            tuple(vertex_ids), tuple(parikh_ids), tuple(vertices), tuple(first_nodes)
-        )
-
-    @cached_property
-    def encodings(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's ``regions.sequence_encoding`` over
-        ``ordered_alphabet()``, by node index; nodes with equal rows share
-        one tuple of ``numbering.vertices``."""
-        numbering = self.numbering
-        return tuple(map(numbering.vertices.__getitem__, numbering.vertex_ids))
+            weights[ids[0]] += frequencies[index]
+        columns = (vertex_ids, parikh_ids, vertices, first_nodes, weights)
+        return EncodingNumbering(*map(tuple, columns))
 
 
 @dataclass(frozen=True)
@@ -320,6 +314,7 @@ class EncodingNumbering:
     parikh_ids: tuple[int, ...]  # by node index
     vertices: tuple[tuple[int, ...], ...]  # the encoding row, by vertex id
     first_nodes: tuple[int, ...]  # the first node with the row, by vertex id
+    weights: tuple[int, ...]  # summed closure frequency of its nodes, by vertex id
 
 
 def prefix_closure(

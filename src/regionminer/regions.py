@@ -188,41 +188,38 @@ def _independent_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
 
 
 def build_constraint_system(
-    pc: PrefixClosure, retained: Iterable[EncodingVector] | None = None
+    pc: PrefixClosure, retained: Iterable[int] | None = None
 ) -> ConstraintSystem:
     """Assemble the constraint system for a USE prefix-closure.
 
     Rows are the closure's distinct encodings (``PrefixClosure.numbering``
     builds each once; order abstraction: different interleavings share a
-    row), grouped by vertex id with frequencies summed and the first
-    node's prefix as source, in order of first occurrence. A full trace (a
-    node with a multiplicity) has an equality row mirroring its tail,
-    grouped by Parikh id. When ``retained`` is given, it becomes one flag
-    per vertex: only inequality rows whose vector survived the filter are
-    emitted, and a trace's emptiness equality is kept only when its whole
-    path survived.
+    row), one per non-root vertex id with the vertex's summed frequency
+    and the first node's prefix as source, in vertex id order. A full
+    trace (a node with a multiplicity) has an equality row mirroring its
+    tail, grouped by Parikh id. When ``retained`` is given, it holds the
+    non-root vertex ids that survived the filter (as ``filtering.sef_bfs``
+    returns them): only their inequality rows are emitted, and a trace's
+    emptiness equality is kept only when its whole path survived.
     """
     alphabet = pc.ordered_alphabet()
     n = len(alphabet)
     numbering = pc.numbering
     vertices, vertex_ids = numbering.vertices, numbering.vertex_ids
-    weights = [0] * len(vertices)
-    for vertex, freq in zip(vertex_ids, pc.frequencies):
-        weights[vertex] += freq
     flags = [True] * len(vertices)  # flags[v]: vertex v survived the filter
     kept = [True] * len(vertex_ids)  # kept[i]: node i's whole path survived
     if retained is not None:
-        retained = frozenset(retained)
-        flags = [vector in retained for vector in vertices]
-        unknown = len(retained) - sum(flags[1:])
-        if unknown:
-            raise ValueError(
-                f"{unknown} retained vector(s) do not occur in the closure"
-            )
+        flags = [False] * len(vertices)
+        for vertex in retained:
+            if not 0 < vertex < len(vertices):
+                raise ValueError(
+                    f"retained id {vertex} is not a non-root vertex id of the closure"
+                )
+            flags[vertex] = True
         for index, parent in enumerate(pc.parents[1:], 1):
             kept[index] = kept[parent] and flags[vertex_ids[index]]
     inequality_rows = tuple(
-        Row(vertices[v], pc.prefixes[first], weights[v])
+        Row(vertices[v], pc.prefixes[first], numbering.weights[v])
         for v, first in enumerate(numbering.first_nodes)
         if v and flags[v]
     )

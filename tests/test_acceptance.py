@@ -97,7 +97,8 @@ def _vertex(pc, *activities):
     trace = tuple(
         pc.start if a == "S" else pc.end if a == "E" else a for a in activities
     )
-    return sequence_encoding(trace, pc.ordered_alphabet())
+    row = sequence_encoding(trace, pc.ordered_alphabet())
+    return pc.numbering.vertices.index(row)
 
 
 def test_criterion_02_sequence_encoding_graph(l1_prime_closure):
@@ -106,12 +107,12 @@ def test_criterion_02_sequence_encoding_graph(l1_prime_closure):
     failures = []
 
     def psi(parent, child):
-        return graph.children.get(parent, {}).get(child)
+        return graph.children[parent].get(child)
 
     v_acde = _vertex(pc, "S", "a", "c", "d", "e")
     deep = _vertex(pc, "S", "a", "b", "d", "e", "f", "c", "d", "e")
     checks = [
-        (graph.root, _vertex(pc, "S"), 56),
+        (0, _vertex(pc, "S"), 56),
         (_vertex(pc, "S"), _vertex(pc, "S", "a"), 56),
         (_vertex(pc, "S", "a"), _vertex(pc, "S", "a", "b"), 22),
         (_vertex(pc, "S", "a"), _vertex(pc, "S", "a", "c"), 12),
@@ -146,7 +147,7 @@ def test_criterion_03_sef_bfs_prunes_dotted_path(l1_prime_closure):
     pc = l1_prime_closure
     graph = build_graph(pc)
     retained = sef_bfs(graph, make_kappa_max(graph, 0.75))
-    removed = graph.vertices - retained - {graph.root}
+    removed = set(range(len(graph.vertices))) - retained - {0}
     expected = {_vertex(pc, *marks) for marks in EXPECTED_PRUNED}
     failures = []
     if removed != expected:

@@ -485,6 +485,7 @@ _FIRST_LP = "lp/000___start____a.lp"
         ("l1.log", "--alpha=0.5", "seg.dot", "l1_alpha_0.5.seg.dot"),
         ("l1.log", "--alpha=0.5", "net.pnml", "l1_alpha_0.5.pnml"),
         ("l1.log", "--no-filter", _FIRST_LP, "l1_unfiltered_000.lp"),
+        ("l1.log", "--no-filter", "seg.dot", "l1_unfiltered.seg.dot"),
     ],
 )
 def test_emitted_seg_and_rows_match_golden_files(

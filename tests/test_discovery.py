@@ -150,7 +150,7 @@ def test_prefixes_are_encoded_only_by_the_closure_table(l1_prime, monkeypatch):
     from regionminer import regions
 
     def refuse(*args):
-        raise AssertionError("prefix encoded outside PrefixClosure.encodings")
+        raise AssertionError("prefix encoded outside PrefixClosure.numbering")
 
     package = [
         module
@@ -161,11 +161,11 @@ def test_prefixes_are_encoded_only_by_the_closure_table(l1_prime, monkeypatch):
         for name in ("sequence_encoding", "parikh"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     result = run_discovery(l1_prime, DiscoveryOptions(alpha=0.75))
-    row_of = dict(zip(result.closure.prefixes, result.closure.encodings))
+    vertex_of = dict(zip(result.closure.prefixes, result.closure.numbering.vertex_ids))
     for region in result.regions:
         # a filtered region may violate only rows the filter removed
         ok, source = regions.check_region(region, result.closure)
-        assert ok or row_of[source] not in result.retained
+        assert ok or vertex_of[source] not in result.retained
     assert export_pnml(result.net) == (DATA / "l1_prime_alpha_0.75.pnml").read_bytes()
 
 

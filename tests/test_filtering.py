@@ -12,6 +12,7 @@ from regionminer.filtering import (
 from regionminer.regions import (
     build_constraint_system,
     encoding_length,
+    encoding_shorthand,
     sequence_encoding,
 )
 
@@ -29,26 +30,28 @@ def graph_l1_prime(pc_l1_prime):
     return build_graph(pc_l1_prime)
 
 
-def _vec(pc, *activities):
-    # "S"/"E" stand for the fresh start/end wrappers
+def _vertex(pc, *activities):
+    # the vertex id of the prefix's row; "S"/"E" stand for the fresh
+    # start/end wrappers
     trace = tuple(
         pc.start if a == "S" else pc.end if a == "E" else a for a in activities
     )
-    return sequence_encoding(trace, pc.ordered_alphabet())
+    row = sequence_encoding(trace, pc.ordered_alphabet())
+    return pc.numbering.vertices.index(row)
 
 
 def test_psi_root_chain(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    root = g.root
-    v_start = _vec(pc_l1_prime, "S")
-    v_a = _vec(pc_l1_prime, "S", "a")
+    root = 0
+    v_start = _vertex(pc_l1_prime, "S")
+    v_a = _vertex(pc_l1_prime, "S", "a")
     assert g.children[root][v_start] == 56
     assert g.children[v_start][v_a] == 56
 
 
 def test_psi_children_of_a(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    v_a = _vec(pc_l1_prime, "S", "a")
+    v_a = _vertex(pc_l1_prime, "S", "a")
     weights = {g.shorthand(child): w for child, w in g.children[v_a].items()}
     start = pc_l1_prime.start
     assert weights == {
@@ -60,18 +63,16 @@ def test_psi_children_of_a(pc_l1_prime, graph_l1_prime):
 
 def test_psi_children_of_ab(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    v_ab = _vec(pc_l1_prime, "S", "a", "b")
+    v_ab = _vertex(pc_l1_prime, "S", "a", "b")
     weights = sorted(g.children[v_ab].values())
     assert weights == [1, 21]
 
 
 def test_psi_merge_conservation(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    v_merge = _vec(pc_l1_prime, "S", "a", "c", "d", "e")
-    assert v_merge == _vec(pc_l1_prime, "S", "a", "d", "c", "e")
-    incoming = [
-        arcs[v_merge] for arcs in g.children.values() if v_merge in arcs
-    ]
+    v_merge = _vertex(pc_l1_prime, "S", "a", "c", "d", "e")
+    assert v_merge == _vertex(pc_l1_prime, "S", "a", "d", "c", "e")
+    incoming = [arcs[v_merge] for arcs in g.children if v_merge in arcs]
     assert sorted(incoming) == [12, 22]
     assert g.vertex_weight[v_merge] == 34
     outgoing = sorted(g.children[v_merge].values())
@@ -80,7 +81,7 @@ def test_psi_merge_conservation(pc_l1_prime, graph_l1_prime):
 
 def test_psi_deep_split(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    v = _vec(pc_l1_prime, "S", "a", "b", "d", "e", "f", "c", "d", "e")
+    v = _vertex(pc_l1_prime, "S", "a", "b", "d", "e", "f", "c", "d", "e")
     weights = sorted(g.children[v].values())
     assert weights == [13, 23]
 
@@ -90,7 +91,7 @@ def test_single_trace_graph_is_a_path():
     pc = prefix_closure(use, start, end)
     g = build_graph(pc)
     assert len(g.vertex_weight) == 4
-    for arcs in g.children.values():
+    for arcs in g.children:
         assert all(w == 1 for w in arcs.values())
         assert len(arcs) <= 1
 
@@ -98,18 +99,18 @@ def test_single_trace_graph_is_a_path():
 def test_conservation_identity_everywhere(graph_l1_prime):
     g = graph_l1_prime
     incoming: dict = {}
-    for arcs in g.children.values():
+    for arcs in g.children:
         for child, weight in arcs.items():
             incoming[child] = incoming.get(child, 0) + weight
-    for vertex, weight in g.vertex_weight.items():
-        if vertex == g.root:
+    for vertex, weight in enumerate(g.vertex_weight):
+        if vertex == 0:
             continue
         assert incoming[vertex] == weight
 
 
 def test_kappa_worked_example(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    v_ab = _vec(pc_l1_prime, "S", "a", "b")
+    v_ab = _vertex(pc_l1_prime, "S", "a", "b")
     kept = kappa_max(g, v_ab, alpha=0.75)
     # (1 - 0.75) * 21 = 5.25 > 1, so only the 21-weighted child survives
     assert {g.children[v_ab][c] for c in kept} == {21}
@@ -120,19 +121,19 @@ def test_kappa_compares_weights_in_float():
     # exact product of that float with 10 lies above 9 and would drop it
     pc = prefix_closure(EventLog.from_pairs([(("a", "b"), 9), (("a", "c"), 10)]))
     g = build_graph(pc)
-    kept = kappa_max(g, _vec(pc, "a"), alpha=0.1)
-    assert sorted(g.children[_vec(pc, "a")][c] for c in kept) == [9, 10]
+    kept = kappa_max(g, _vertex(pc, "a"), alpha=0.1)
+    assert sorted(g.children[_vertex(pc, "a")][c] for c in kept) == [9, 10]
 
 
 def test_kappa_alpha_one_keeps_all(graph_l1_prime):
     g = graph_l1_prime
-    for vertex, arcs in g.children.items():
+    for vertex, arcs in enumerate(g.children):
         assert kappa_max(g, vertex, alpha=1.0) == set(arcs)
 
 
 def test_kappa_alpha_zero_keeps_maxima(graph_l1_prime):
     g = graph_l1_prime
-    for vertex, arcs in g.children.items():
+    for vertex, arcs in enumerate(g.children):
         if not arcs:
             assert kappa_max(g, vertex, alpha=0.0) == set()
             continue
@@ -144,7 +145,7 @@ def test_kappa_alpha_zero_keeps_maxima(graph_l1_prime):
 
 def test_kappa_childless_vertex_yields_empty(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
-    leaf = _vec(
+    leaf = _vertex(
         pc_l1_prime, "S", "a", "b", "d", "e", "g", "E"
     )  # ([s,a,b,d,e,g],end)
     assert g.children[leaf] == {}
@@ -154,7 +155,7 @@ def test_kappa_childless_vertex_yields_empty(pc_l1_prime, graph_l1_prime):
 def test_kappa_monotone_in_alpha_concrete(graph_l1_prime):
     g = graph_l1_prime
     alphas = [0.0, 0.2, 0.5, 0.75, 0.9, 1.0]
-    for vertex in g.children:
+    for vertex in range(len(g.children)):
         previous = None
         for alpha in alphas:
             current = kappa_max(g, vertex, alpha)
@@ -166,22 +167,22 @@ def test_kappa_monotone_in_alpha_concrete(graph_l1_prime):
 def test_sef_bfs_prunes_exactly_five(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
     retained = sef_bfs(g, make_kappa_max(g, 0.75))
-    removed = g.vertices - retained - {g.root}
+    removed = set(range(len(g.vertices))) - retained - {0}
     expected = {
-        _vec(pc_l1_prime, "S", "a", "b", "c"),
-        _vec(pc_l1_prime, "S", "a", "b", "c", "d"),
-        _vec(pc_l1_prime, "S", "a", "b", "c", "d", "e"),
-        _vec(pc_l1_prime, "S", "a", "b", "c", "d", "e", "g"),
-        _vec(pc_l1_prime, "S", "a", "b", "c", "d", "e", "g", "E"),
+        _vertex(pc_l1_prime, "S", "a", "b", "c"),
+        _vertex(pc_l1_prime, "S", "a", "b", "c", "d"),
+        _vertex(pc_l1_prime, "S", "a", "b", "c", "d", "e"),
+        _vertex(pc_l1_prime, "S", "a", "b", "c", "d", "e", "g"),
+        _vertex(pc_l1_prime, "S", "a", "b", "c", "d", "e", "g", "E"),
     }
     assert removed == expected
-    assert g.root not in retained
+    assert 0 not in retained
 
 
 def test_sef_bfs_all_children_filter(graph_l1_prime):
     g = graph_l1_prime
-    retained = sef_bfs(g, lambda v: set(g.children.get(v, {})))
-    assert retained == g.vertices - {g.root}
+    retained = sef_bfs(g, lambda v: set(g.children[v]))
+    assert retained == set(range(1, len(g.vertices)))
 
 
 def test_sef_bfs_empty_filter(graph_l1_prime):
@@ -193,10 +194,10 @@ def test_sef_bfs_retained_set_is_prefix_reachable(graph_l1_prime):
     retained = sef_bfs(g, make_kappa_max(g, 0.75))
     # walking down from the root through retained vertices reaches all of them
     reachable = set()
-    frontier = [g.root]
+    frontier = [0]
     while frontier:
         vertex = frontier.pop()
-        for child in g.children.get(vertex, {}):
+        for child in g.children[vertex]:
             if child in retained and child not in reachable:
                 reachable.add(child)
                 frontier.append(child)
@@ -206,7 +207,7 @@ def test_sef_bfs_retained_set_is_prefix_reachable(graph_l1_prime):
 def test_alpha_one_equals_unfiltered_system(pc_l1_prime, graph_l1_prime):
     g = graph_l1_prime
     retained = sef_bfs(g, make_kappa_max(g, 1.0))
-    assert retained == g.vertices - {g.root}
+    assert retained == set(range(1, len(g.vertices)))
     filtered = build_constraint_system(pc_l1_prime, retained)
     unfiltered = build_constraint_system(pc_l1_prime)
     assert filtered == unfiltered
@@ -217,7 +218,9 @@ def test_filtered_system_drops_pruned_path(pc_l1_prime, graph_l1_prime):
     retained = sef_bfs(g, make_kappa_max(g, 0.75))
     cs = build_constraint_system(pc_l1_prime, retained)
     start = pc_l1_prime.start
-    shorthands = {g.shorthand(row.vector) for row in cs.inequality_rows}
+    shorthands = {
+        encoding_shorthand(row.vector, g.alphabet) for row in cs.inequality_rows
+    }
     assert f"([{start},a,b],c)" not in shorthands
     assert f"([{start},a,b,c],d)" not in shorthands
     # the injected trace loses its emptiness equality, the five variants keep theirs
@@ -258,11 +261,11 @@ def test_graph_acyclic_on_random_logs():
         use, start, end = use_transform(log)
         for pc in (prefix_closure(log), prefix_closure(use, start, end)):
             graph = build_graph(pc)
-            arcs = [(v, w) for v, children in graph.children.items() for w in children]
+            arcs = [(v, w) for v, out in enumerate(graph.children) for w in out]
             assert arcs
+            lengths = [encoding_length(row, graph.alphabet) for row in graph.vertices]
             for vertex, child in arcs:
-                length = encoding_length(vertex, graph.alphabet)
-                assert encoding_length(child, graph.alphabet) == length + 1
+                assert lengths[child] == lengths[vertex] + 1
 
 
 def test_seg_dot_marks_pruned(pc_l1_prime, graph_l1_prime):

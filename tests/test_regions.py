@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regionminer.eventlog import EventLog, parikh, prefix_closure, use_transform
-from regionminer.filtering import build_graph
+from regionminer.filtering import build_graph, make_kappa_max, sef_bfs
 from regionminer.regions import (
     residency_vector,
     RegionCandidate,
@@ -228,10 +228,14 @@ def test_check_region_dimension_mismatch(pc_l1):
         check_region(RegionCandidate(0, (0,), (0,)), pc_l1)
 
 
-def test_retained_vectors_must_exist(pc_l1):
-    bogus = (1,) + (9,) * 20
-    with pytest.raises(ValueError):
-        build_constraint_system(pc_l1, retained={bogus})
+@pytest.mark.parametrize("bad", ["root", "negative", "past-end"])
+def test_retained_ids_must_be_non_root_vertices(pc_l1, bad):
+    # the root's row occurs in the closure but never becomes a body row
+    count = len(pc_l1.numbering.vertices)
+    vertex = {"root": 0, "negative": -1, "past-end": count}[bad]
+    # a valid id comes first: the error names the first bad one
+    with pytest.raises(ValueError, match=rf"^retained id {vertex} is not a non-root"):
+        build_constraint_system(pc_l1, retained=[1, vertex, count + 1])
 
 
 def test_lp_text_renders(pc_l1):
@@ -259,7 +263,8 @@ def test_encoding_table_matches_sequence_encoding(pairs, wrapped):
     pc = prefix_closure(*use_transform(log)) if wrapped else prefix_closure(log)
     alphabet = pc.ordered_alphabet()
     assert list(pc.prefixes) == sorted(pc.entries, key=lambda t: (len(t), t))
-    for trace, row in zip(pc.prefixes, pc.encodings, strict=True):
+    rows = [pc.numbering.vertices[v] for v in pc.numbering.vertex_ids]
+    for trace, row in zip(pc.prefixes, rows, strict=True):
         assert row == sequence_encoding(trace, alphabet)
 
 
@@ -286,7 +291,7 @@ def test_filtered_equalities_follow_the_per_cut_rule(pairs, data):
             vector = (1,) + tuple(-c for c in whole) + whole
             source, weight = groups.get(vector, (trace, 0))
             groups[vector] = (source, weight + use.traces[trace])
-    system = build_constraint_system(pc, retained)
+    system = build_constraint_system(pc, map(pc.numbering.vertices.index, retained))
     assert system.equality_rows == tuple(
         Row(vector, source, weight) for vector, (source, weight) in groups.items()
     )
@@ -339,26 +344,68 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
             arcs = children[rows[parent]]
             arcs[row] = arcs.get(row, 0) + freq
     graph = build_graph(pc)
-    assert graph.root == rows[0]
-    assert list(graph.vertex_weight.items()) == list(vertex_weight.items())
-    assert [(v, list(arcs.items())) for v, arcs in graph.children.items()] == [
-        (v, list(arcs.items())) for v, arcs in children.items()
-    ]
+    assert graph.vertices == numbering.vertices and graph.vertices[0] == rows[0]
+    assert list(zip(graph.vertices, graph.vertex_weight)) == list(vertex_weight.items())
+    assert [
+        (graph.vertices[v], [(graph.vertices[w], weight) for w, weight in arcs.items()])
+        for v, arcs in enumerate(graph.children)
+    ] == [(v, list(arcs.items())) for v, arcs in children.items()]
 
-    distinct = sorted(set(rows[1:]))
-    size = len(distinct)
-    flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    retained = {vector for vector, flag in zip(distinct, flags) if flag}
+    def reference_sweep(alpha):
+        # the kappa_max sweep on the row-keyed graph
+        retained, queue, enqueued = set(), [rows[0]], {rows[0]}
+        while queue:
+            arcs = children[queue.pop(0)]
+            bound = (1.0 - alpha) * max(arcs.values(), default=0)
+            for child, weight in arcs.items():
+                if weight >= bound:
+                    retained.add(child)
+                    if child not in enqueued:
+                        enqueued.add(child)
+                        queue.append(child)
+        return retained
+
     groups: dict = {}
     for row, prefix, freq in zip(rows[1:], pc.prefixes[1:], pc.frequencies[1:]):
         source, weight = groups.get(row, (prefix, 0))
         groups[row] = (source, weight + freq)
-    for subset in (None, retained):
-        assert build_constraint_system(pc, subset).inequality_rows == tuple(
-            Row(vector, source, weight)
-            for vector, (source, weight) in groups.items()
-            if subset is None or vector in subset
+    row_of = dict(zip(pc.prefixes, rows))
+    n = len(alphabet)
+
+    def reference_rows(retained):
+        # a full trace keeps its equality row when every cut's row survived
+        equalities: dict = {}
+        for prefix, mult in zip(pc.prefixes, pc.multiplicities):
+            cuts = (prefix[:cut] for cut in range(1, len(prefix) + 1))
+            if mult and (retained is None or all(row_of[c] in retained for c in cuts)):
+                tail = row_of[prefix][n + 1 :]
+                vector = (1,) + tuple(-c for c in tail) + tail
+                source, weight = equalities.get(vector, (prefix, 0))
+                equalities[vector] = (source, weight + mult)
+        inequalities = {
+            vector: value
+            for vector, value in groups.items()
+            if retained is None or vector in retained
+        }
+        return tuple(
+            tuple(Row(vector, *value) for vector, value in kept.items())
+            for kept in (inequalities, equalities)
         )
+
+    distinct = sorted(set(rows[1:]))
+    size = len(distinct)
+    flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    drawn = {vector for vector, flag in zip(distinct, flags) if flag}
+    subsets = [None, {numbering.vertices.index(vector) for vector in drawn}]
+    for alpha in (0.0, 0.5, 0.75, 1.0):
+        retained = sef_bfs(graph, make_kappa_max(graph, alpha))
+        assert {graph.vertices[v] for v in retained} == reference_sweep(alpha)
+        subsets.append(retained)
+    for subset in subsets:
+        system = build_constraint_system(pc, subset)
+        rows_kept = None if subset is None else {graph.vertices[v] for v in subset}
+        expected = reference_rows(rows_kept)
+        assert (system.inequality_rows, system.equality_rows) == expected
 
 
 def _first_violated_prefix(pc, vector):
