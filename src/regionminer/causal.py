@@ -35,9 +35,10 @@ def directly_follows(pc: PrefixClosure) -> dict[Arc, int]:
     activity and its own.
     """
     counts: dict[Arc, int] = {}
-    for prefix, frequency in zip(pc.prefixes, pc.frequencies):
-        if len(prefix) > 1:
-            arc = prefix[-2:]
+    lasts = pc.lasts
+    for node, (parent, frequency) in enumerate(zip(pc.parents, pc.frequencies)):
+        if parent > 0:
+            arc = (lasts[parent], lasts[node])
             counts[arc] = counts.get(arc, 0) + frequency
     return counts
 
@@ -81,18 +82,17 @@ def _is_use(pc: PrefixClosure) -> bool:
     a multiplicity exactly when it ends in ``end``, and then no children
     (its multiplicity equals its frequency).
     """
-    start, end, prefixes = pc.start, pc.end, pc.prefixes
+    start, end, lasts = pc.start, pc.end, pc.lasts
     if start is None or end is None or start == end:
         return False
     # in (length, prefix) order node 1 is the first depth-1 node and node 2
     # the next one, if there is one
-    if prefixes[1:2] != ((start,),) or len(prefixes) > 2 and len(prefixes[2]) == 1:
+    if lasts[1:2] != (start,) or len(lasts) > 2 and pc.parents[2] == 0:
         return False
     if any(pc.multiplicities[:2]):
         return False
-    deeper = islice(zip(prefixes, pc.frequencies, pc.multiplicities), 2, None)
-    for prefix, frequency, multiplicity in deeper:
-        last = prefix[-1]
+    deeper = islice(zip(lasts, pc.frequencies, pc.multiplicities), 2, None)
+    for last, frequency, multiplicity in deeper:
         if last == start or multiplicity != (frequency if last == end else 0):
             return False
     return True

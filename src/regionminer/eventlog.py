@@ -1,5 +1,5 @@
-"""Event logs: parsing, bag representation, the prefix tree of a log's
-prefix-closure and the unique-start/end transformation.
+"""Event logs: parsing, bags, the prefix tree of a log's prefix-closure
+(parent and last activity per node) and the unique-start/end transformation.
 
 An event log is a bag (multiset) of traces; a trace is an ordered sequence
 of activity names. Activity names are non-empty tokens without whitespace
@@ -138,7 +138,7 @@ def parse_xes(source: bytes | str | IO[bytes]) -> EventLog:
             root = ET.fromstring(source.encode("utf-8"))
         else:
             root = ET.parse(source).getroot()
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError) as exc:  # LookupError: unknown encoding
         raise ParseError(f"malformed XES document: {exc}") from exc
 
     def local(tag: str) -> str:
@@ -221,18 +221,19 @@ class PrefixClosure:
 
     Node i is the i-th prefix in (length, prefix) order, so node 0 is the
     empty trace and parents come before their children. One tuple each
-    holds every node's prefix, parent index (-1 for node 0), closure
-    frequency (own multiplicity plus the children's frequencies) and own
-    multiplicity in the log. ``start``/``end`` carry the unique start/end
-    activities when the closed log was a USE log.
+    holds every node's parent index (-1 for node 0), last activity (``""``
+    for node 0), closure frequency (own multiplicity plus the children's
+    frequencies) and own multiplicity in the log; ``render`` builds
+    prefixes where they are shown. ``start``/``end`` carry the unique
+    start/end activities when the closed log was a USE log.
 
     ``numbering`` gives every node a vertex id (its distinct encoding row)
     and a Parikh id (its distinct Parikh vector), building each row once;
     the filter and the constraint body group nodes by these ids.
     """
 
-    prefixes: tuple[Trace, ...]
     parents: tuple[int, ...]
+    lasts: tuple[str, ...]
     frequencies: tuple[int, ...]
     multiplicities: tuple[int, ...]
     alphabet: frozenset[str]
@@ -246,10 +247,23 @@ class PrefixClosure:
     def total_instances(self) -> int:
         return self.frequencies[0]
 
+    def render(self, nodes: Iterable[int]) -> dict[int, Trace]:
+        """The prefixes of ``nodes`` and the root, keyed by node; each
+        extends its nearest rendered ancestor's, so a path is walked once."""
+        parents, lasts = self.parents, self.lasts
+        rendered: dict[int, Trace] = {0: ()}
+        for node in nodes:
+            at, path = node, []
+            while at not in rendered:
+                path.append(lasts[at])
+                at = parents[at]
+            rendered[node] = rendered[at] + tuple(path[::-1])
+        return rendered
+
     @cached_property
     def entries(self) -> Mapping[Trace, int]:
         """Every prefix mapped to its closure frequency, in node order."""
-        return dict(zip(self.prefixes, self.frequencies))
+        return dict(zip(self.render(range(len(self.parents))).values(), self.frequencies))
 
     @cached_property
     def numbering(self) -> EncodingNumbering:
@@ -272,11 +286,10 @@ class PrefixClosure:
         # by the parent's Parikh id: last activity -> (vertex id, Parikh id)
         keyed: list[dict[str, tuple[int, int]]] = [{}]
         vertex_ids, parikh_ids = [0], [0]
-        prefixes, parents, frequencies = self.prefixes, self.parents, self.frequencies
+        parents, lasts, frequencies = self.parents, self.lasts, self.frequencies
         weights = [frequencies[0]]
-        for index in range(1, len(prefixes)):
+        for index, last in enumerate(lasts[1:], 1):
             parent = parikh_ids[parents[index]]
-            last = prefixes[index][-1]
             ids = keyed[parent].get(last)
             if ids is None:
                 tail = tail_of[parent]
@@ -336,15 +349,15 @@ def prefix_closure(
                 children.append({})
             node = children[node][activity]
         own[node] = log.traces[trace]
-    prefixes, parents, trie = [()], [-1], [0]  # trie: the trie node behind each node
+    parents, lasts, trie = [-1], [""], [0]  # trie: the trie node behind each node
     for index, at in enumerate(trie):  # trie grows while it is walked
         for activity, child in children[at].items():
-            prefixes.append(prefixes[index] + (activity,))
             parents.append(index)
+            lasts.append(activity)
             trie.append(child)
     multiplicities = [own.get(at, 0) for at in trie]
     frequencies = multiplicities.copy()
     for index in range(len(trie) - 1, 0, -1):  # children come after their parent
         frequencies[parents[index]] += frequencies[index]
-    columns = (prefixes, parents, frequencies, multiplicities)
+    columns = (parents, lasts, frequencies, multiplicities)
     return PrefixClosure(*map(tuple, columns), frozenset(log.alphabet), start, end)

@@ -460,7 +460,7 @@ def parse_pnml(data: bytes | str) -> WorkflowNet:
     sink."""
     try:
         root = ET.fromstring(data if isinstance(data, bytes) else data.encode("utf-8"))
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError) as exc:  # LookupError: unknown encoding
         raise ParseError(f"malformed PNML document: {exc}") from exc
 
     def local(tag: str) -> str:

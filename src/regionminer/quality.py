@@ -140,14 +140,14 @@ def evaluate(wfnet: WorkflowNet, log: EventLog) -> QualityReport:
     totals = [0, 0, 0, 0]  # produced, consumed, missing, remaining
     replayed = blocked = escaping_mass = allowed_mass = 0
     pc = prefix_closure(log)
-    nodes = zip(pc.prefixes, pc.parents, pc.frequencies, pc.multiplicities)
+    nodes = zip(pc.parents, pc.lasts, pc.frequencies, pc.multiplicities)
     states: list[tuple] = []  # each node's replay state, by node index
-    for prefix, parent, weight, mult in nodes:
+    for parent, last, weight, mult in nodes:
         if parent >= 0:
             marking, produced, consumed, missing = states[parent]
-            if not missing and prefix[-1] in allowed_labels[marking]:  # no escape
+            if not missing and last in allowed_labels[marking]:  # no escape
                 escaping_mass -= pc.frequencies[parent]
-            marking, more_produced, more_consumed, inserted = steps[marking, prefix[-1]]
+            marking, more_produced, more_consumed, inserted = steps[marking, last]
             produced += more_produced
             consumed += more_consumed
             missing += inserted

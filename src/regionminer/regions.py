@@ -218,11 +218,6 @@ def build_constraint_system(
             flags[vertex] = True
         for index, parent in enumerate(pc.parents[1:], 1):
             kept[index] = kept[parent] and flags[vertex_ids[index]]
-    inequality_rows = tuple(
-        Row(vertices[v], pc.prefixes[first], numbering.weights[v])
-        for v, first in enumerate(numbering.first_nodes)
-        if v and flags[v]
-    )
     groups: dict[int, list] = {}  # Parikh id -> [first node, summed weight]
     for index, (pid, mult) in enumerate(zip(numbering.parikh_ids, pc.multiplicities)):
         if mult and kept[index]:
@@ -230,11 +225,18 @@ def build_constraint_system(
                 groups[pid][1] += mult
             else:
                 groups[pid] = [index, mult]
+    nodes = [first for v, first in enumerate(numbering.first_nodes) if flags[v]]
+    sources = pc.render(nodes + [index for index, _ in groups.values()])
+    inequality_rows = tuple(
+        Row(vertices[v], sources[first], numbering.weights[v])
+        for v, first in enumerate(numbering.first_nodes)
+        if v and flags[v]
+    )
     equality_rows = []
     for index, weight in groups.values():
         tail = vertices[vertex_ids[index]][n + 1 :]
         vector = (1,) + tuple(-c for c in tail) + tail
-        equality_rows.append(Row(vector, pc.prefixes[index], weight))
+        equality_rows.append(Row(vector, sources[index], weight))
 
     return ConstraintSystem(
         alphabet=alphabet,
@@ -310,7 +312,7 @@ def check_region(
     numbering = pc.numbering
     for row, first in zip(numbering.vertices[1:], numbering.first_nodes[1:]):
         if sum(r * v for r, v in zip(row, vec)) < 0:
-            return False, pc.prefixes[first]
+            return False, pc.render([first])[first]
     return True, None
 
 

@@ -288,6 +288,8 @@ _NAMELESS_EVENT_XES = (
     b'<log><trace><event><string key="org:resource" value="x"/></event></trace></log>'
 )
 
+# an XML declaration naming an encoding the parser does not know
+_UNKNOWN_ENCODING_XML = b'<?xml version="1.0" encoding="TF-8"?><log/>'
 # more trace instances than a Python sequence can index
 _HUGE_COUNT_LOG = b"99999999999999999999999;a b c\n"
 # arc weights beyond float range for the filter
@@ -318,14 +320,21 @@ _HEAVY_ARC_LOG = b"1" + b"0" * 400 + b";a b c\n1;a c b\n"
         ),
         (["sweep", "--alphas", "1", "--noise-levels", "0.1"], "huge.log", _HUGE_COUNT_LOG),
         (["discover", "--alpha", "0.75", "--out-pnml", "{out}"], "heavy.log", _HEAVY_ARC_LOG),
+        (["discover", "--xes", "--out-pnml", "{out}"], "x.xes", _UNKNOWN_ENCODING_XML),
+        (["convert", "--out", "{out}"], "x.xes", _UNKNOWN_ENCODING_XML),
+        (["evaluate", "--xes", "--pnml", "{net}"], "x.xes", _UNKNOWN_ENCODING_XML),
+        (["evaluate", "--pnml", "{input}"], "x.pnml", _UNKNOWN_ENCODING_XML),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
+    source = workspace / name
     if content is not None:
-        (workspace / name).write_bytes(content)
+        source.write_bytes(content)
     flag = "--xes" if args[0] == "convert" else "--log"
-    argv = [args[0], flag, str(workspace / name)] + [
-        arg.format(out=workspace / "out", net=DATA / "l1_unfiltered.pnml")
+    # a case that passes its input as another argument reads l1.log as the log
+    log = workspace / "l1.log" if "{input}" in args else source
+    argv = [args[0], flag, str(log)] + [
+        arg.format(out=workspace / "out", net=DATA / "l1_unfiltered.pnml", input=source)
         for arg in args[1:]
     ]
     code = main(argv)

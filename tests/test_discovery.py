@@ -161,7 +161,7 @@ def test_prefixes_are_encoded_only_by_the_closure_table(l1_prime, monkeypatch):
         for name in ("sequence_encoding", "parikh"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     result = run_discovery(l1_prime, DiscoveryOptions(alpha=0.75))
-    vertex_of = dict(zip(result.closure.prefixes, result.closure.numbering.vertex_ids))
+    vertex_of = dict(zip(result.closure.entries, result.closure.numbering.vertex_ids))
     for region in result.regions:
         # a filtered region may violate only rows the filter removed
         ok, source = regions.check_region(region, result.closure)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -251,10 +252,14 @@ def test_prefix_closure_l1_prime_frequencies(l1_prime):
     assert pc.total_instances == 56
 
 
-@given(traces_strategy.filter(lambda p: len(p) > 0))
-def test_prefix_closure_recurrence_property(pairs):
+@given(traces_strategy.filter(lambda p: len(p) > 0), st.booleans(), st.data())
+def test_prefix_closure_recurrence_property(pairs, wrapped, data):
     log = EventLog.from_pairs(pairs)
-    pc = prefix_closure(log)
+    if wrapped:
+        log, start, end = use_transform(log)
+        pc = prefix_closure(log, start, end)
+    else:
+        pc = prefix_closure(log)
     # recurrence: freq(t) = own multiplicity + sum of one-step extensions
     for trace, freq in pc.entries.items():
         own = log.traces.get(trace, 0)
@@ -271,13 +276,39 @@ def test_prefix_closure_recurrence_property(pairs):
     assert pc.total_instances == log.total_instances
     # the tree: nodes in (length, prefix) order, each parent its prefix
     # minus the last event, each multiplicity the log's
-    prefixes = list(pc.prefixes)
+    prefixes = list(pc.entries)
     assert prefixes == sorted(pc.entries, key=lambda t: (len(t), t))
     nodes = zip(prefixes, pc.parents, pc.frequencies, pc.multiplicities, strict=True)
     for prefix, parent, freq, mult in nodes:
         assert parent == (prefixes.index(prefix[:-1]) if prefix else -1)
         assert freq == pc.entries[prefix]
         assert mult == log.traces.get(prefix, 0)
+    # rendering equals concatenating each parent's tuple with the node's
+    # last activity, for any nodes in any order
+    concatenated = [()]
+    for parent, last in zip(pc.parents[1:], pc.lasts[1:], strict=True):
+        concatenated.append(concatenated[parent] + (last,))
+    assert prefixes == concatenated
+    indices = st.integers(0, len(prefixes) - 1)
+    for nodes in (data.draw(st.lists(indices)), range(len(prefixes) - 1, -1, -1)):
+        rendered = pc.render(nodes)
+        assert set(rendered) == {0, *nodes}
+        assert all(rendered[node] == concatenated[node] for node in rendered)
+
+
+def test_prefix_closure_grows_linearly_with_a_long_trace():
+    # one prefix tuple per node would keep about 61 MiB for these 4,000
+    # events; one parent and one activity per node keep about 0.24 MiB
+    log = EventLog(traces={("a", "b", "c") * 1333 + ("a",): 1})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pc = prefix_closure(log)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pc.parents) == 4001
+    assert kept < 2 * 2**20
 
 
 @given(traces_strategy.filter(lambda p: len(p) > 0))

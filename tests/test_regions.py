@@ -262,9 +262,10 @@ def test_encoding_table_matches_sequence_encoding(pairs, wrapped):
     log = EventLog.from_pairs(pairs)
     pc = prefix_closure(*use_transform(log)) if wrapped else prefix_closure(log)
     alphabet = pc.ordered_alphabet()
-    assert list(pc.prefixes) == sorted(pc.entries, key=lambda t: (len(t), t))
+    prefixes = list(pc.entries)
+    assert prefixes == sorted(pc.entries, key=lambda t: (len(t), t))
     rows = [pc.numbering.vertices[v] for v in pc.numbering.vertex_ids]
-    for trace, row in zip(pc.prefixes, rows, strict=True):
+    for trace, row in zip(prefixes, rows, strict=True):
         assert row == sequence_encoding(trace, alphabet)
 
 
@@ -322,7 +323,8 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
     # the reference hashes sequence_encoding once per node
     pc = _closure(pairs, wrapped)
     alphabet = pc.ordered_alphabet()
-    rows = [sequence_encoding(prefix, alphabet) for prefix in pc.prefixes]
+    prefixes = list(pc.entries)
+    rows = [sequence_encoding(prefix, alphabet) for prefix in prefixes]
     numbering = pc.numbering
     # a bijection: a vertex id names exactly one row and a Parikh id
     # exactly one Parikh vector, each numbered at its first node
@@ -331,7 +333,7 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
     assert list(numbering.first_nodes) == [
         rows.index(vertex) for vertex in numbering.vertices
     ]
-    vectors = [parikh(prefix, alphabet) for prefix in pc.prefixes]
+    vectors = [parikh(prefix, alphabet) for prefix in prefixes]
     by_id = dict(zip(numbering.parikh_ids, vectors))
     assert [by_id[p] for p in numbering.parikh_ids] == vectors
     assert len(set(by_id.values())) == len(by_id) == max(numbering.parikh_ids) + 1
@@ -366,16 +368,16 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
         return retained
 
     groups: dict = {}
-    for row, prefix, freq in zip(rows[1:], pc.prefixes[1:], pc.frequencies[1:]):
+    for row, prefix, freq in zip(rows[1:], prefixes[1:], pc.frequencies[1:]):
         source, weight = groups.get(row, (prefix, 0))
         groups[row] = (source, weight + freq)
-    row_of = dict(zip(pc.prefixes, rows))
+    row_of = dict(zip(prefixes, rows))
     n = len(alphabet)
 
     def reference_rows(retained):
         # a full trace keeps its equality row when every cut's row survived
         equalities: dict = {}
-        for prefix, mult in zip(pc.prefixes, pc.multiplicities):
+        for prefix, mult in zip(prefixes, pc.multiplicities):
             cuts = (prefix[:cut] for cut in range(1, len(prefix) + 1))
             if mult and (retained is None or all(row_of[c] in retained for c in cuts)):
                 tail = row_of[prefix][n + 1 :]
@@ -410,7 +412,7 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
 
 def _first_violated_prefix(pc, vector):
     alphabet = pc.ordered_alphabet()
-    for prefix in pc.prefixes[1:]:
+    for prefix in list(pc.entries)[1:]:
         row = sequence_encoding(prefix, alphabet)
         if sum(r * v for r, v in zip(row, vector)) < 0:
             return False, prefix
@@ -429,5 +431,6 @@ def test_check_region_matches_the_per_node_reference(pairs, wrapped, data):
     for vector in (drawn, consuming):
         expected = _first_violated_prefix(pc, vector)
         assert check_region(RegionCandidate.from_vector(vector), pc) == expected
-    if len(pc.prefixes) > 1:
-        assert _first_violated_prefix(pc, consuming) == (False, pc.prefixes[1])
+    prefixes = list(pc.entries)
+    if len(prefixes) > 1:
+        assert _first_violated_prefix(pc, consuming) == (False, prefixes[1])
