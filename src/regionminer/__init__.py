@@ -28,7 +28,7 @@ from .eventlog import (
     use_transform,
 )
 from .filtering import SequenceEncodingGraph, build_graph, kappa_max, sef_bfs
-from .ilp import LPRelaxation, Solution, brute_force, lp_relax, solve
+from .ilp import Solution, brute_force, solve
 from .petri import (
     PetriNet,
     WorkflowNet,
@@ -55,8 +55,6 @@ from .regions import (
     build_constraint_system,
     check_region,
     instantiate_causal_ilp,
-    objective_vector,
-    residency_vector,
     sequence_encoding,
 )
 

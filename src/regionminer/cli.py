@@ -155,8 +155,8 @@ def _cmd_sweep(args) -> int:
     log = _read_log(args.log, xes=False)
     alphas = [token.strip() for token in args.alphas.split(",") if token.strip()]
     levels = [token.strip() for token in args.noise_levels.split(",") if token.strip()]
-    # check the log and build every option and noisy log before the header,
-    # so a bad input is reported on its own and nothing reaches stdout
+    # check the log and build every option and noisy log first, so a bad
+    # flag fails before any mining
     if log.is_empty():
         raise ValueError("cannot discover from an empty log")
     for flag, tokens in (("--alphas", alphas), ("--noise-levels", levels)):
@@ -171,17 +171,19 @@ def _cmd_sweep(args) -> int:
     for token in levels:
         level = float(token)
         noisy_logs.append((token, inject_noise(log, level, args.seed) if level else log))
-    print("noise,alpha,fitness,precision,wall_ms")
+    rows = ["noise,alpha,fitness,precision,wall_ms"]
     for level_token, noisy in noisy_logs:
         for alpha_token, options in grid:
             started = time.perf_counter()
             net = run_discovery(noisy, options).net
             wall_ms = int((time.perf_counter() - started) * 1000)
             report = evaluate(net, log)
-            print(
+            rows.append(
                 f"{level_token},{alpha_token},{report.fitness:.6f},"
                 f"{report.precision:.6f},{wall_ms}"
             )
+    # printed only once every cell is computed, so an error leaves stdout empty
+    print("\n".join(rows))
     return 0
 
 

@@ -108,13 +108,13 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         )
         system = build_constraint_system(pc, retained)
 
-    # also builds the presolve cache once, before any pair solve needs it
-    logger.debug(
-        "constraint system: %d inequality rows, %d equality rows, %d kept by presolve",
-        len(system.inequality_rows),
-        len(system.equality_rows),
-        len(system.independent_equality_rows),
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "constraint system: %d inequality rows, %d equality rows, %d kept by presolve",
+            len(system.inequality_rows),
+            len(system.equality_rows),
+            len(system.independent_equality_rows),
+        )
     pair_regions: dict[Pair, RegionCandidate] = {}
     for pair in sorted(causal.arcs):
         solution = solver(instantiate_causal_ilp(system, *pair))

@@ -48,9 +48,7 @@ variable, so every node is a warm start. No node records which pending
 rows its path has added: a row in the tableau keeps its slack ``>= 0``,
 so it holds at every optimum and is never violated again. The root
 itself is never changed, and ``Solution.pivots`` sums the dual pivots of
-every node. ``lp_relax`` minimises the plain objective, not the
-lexicographic one, so it builds one simplex of its own on the same start
-rows and pending rows.
+every node.
 
 The dual loop falls back to Bland's rule (the lowest variable id
 leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
@@ -85,7 +83,7 @@ LP points: every value is an integer numerator over the one tableau
 denominator ``den``, so an LP point is its numerators with ``den``.
 Row slacks (times ``den``), the node bound, integrality (``den`` divides
 the numerator) and the branching choice are all read from those
-integers; ``Fraction`` appears only in the public ``LPRelaxation``.
+integers, so no ``Fraction`` is ever built.
 
 Presolve: the trace-emptiness equalities all read
 ``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
@@ -112,7 +110,6 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import SolverError
@@ -139,13 +136,6 @@ class Solution:
     # work counters: they describe the search, not the optimum
     nodes: int = field(default=0, compare=False)  # branch-and-bound nodes
     pivots: int = field(default=0, compare=False)  # dual pivots over all nodes
-
-
-@dataclass(frozen=True)
-class LPRelaxation:
-    status: str  # "optimal" | "infeasible"
-    value: Fraction | None
-    point: tuple[Fraction, ...] | None
 
 
 def _system_rows(cs: ConstraintSystem) -> tuple[Rows, Rows]:
@@ -200,21 +190,14 @@ class _Simplex:
     fraction-free tableau (see the module docstring).
 
     Constraints are ``coefs . v >= rhs``, each with the slack
-    ``coefs . v - rhs`` as a variable like the others: a start row's slack
-    has the bounds ``[0, slack_upper]`` (0 makes the row an equality,
-    ``None`` leaves it an inequality) and an added row's slack
-    ``[0, None]``. The structural variables start in ``[0, upper]``. Construction builds the
-    slack basis on the start rows without pivoting; ``fix``, ``add_rows``
-    and ``reoptimise`` do the rest.
+    ``coefs . v - rhs`` as a variable like the others: a start row is an
+    equality, its slack fixed at 0, and an added row's slack is in
+    ``[0, None]``. The structural variables start in ``[0, upper]``.
+    Construction builds the slack basis on the start rows without
+    pivoting; ``fix``, ``add_rows`` and ``reoptimise`` do the rest.
     """
 
-    def __init__(
-        self,
-        rows: Rows,
-        costs: Sequence[int],
-        upper: Sequence[int],
-        slack_upper: int | None,
-    ):
+    def __init__(self, rows: Rows, costs: Sequence[int], upper: Sequence[int]):
         n = len(costs)
         self.n = n
         self.den = 1
@@ -227,7 +210,7 @@ class _Simplex:
         # the last entry takes the same updates and is never read
         self.cost = list(costs) + [0]
         self.lower = [0] * (n + len(rows))
-        self.upper = list(upper) + [slack_upper] * len(rows)
+        self.upper = list(upper) + [0] * len(rows)
         # dual feasible: each variable of negative cost sits at its upper
         # bound; keys are columns
         self.raised = {j: upper[j] for j, c in enumerate(costs) if c < 0 and upper[j]}
@@ -425,13 +408,13 @@ class _Pending:
 
 
 class _Compiled:
-    """A constraint system as the solver sees it: the start rows (the
-    presolved equalities); the pending body (inequalities and the
-    minimum-arc row); all equality rows, for ``verify``; the
-    lexicographic costs; and the root simplex on the start rows, each
-    with its slack fixed at 0, and every variable boxed in [0, 1]. ``_prepare``
-    builds it on first use and keeps it on the system; it is never
-    changed afterwards, and every node works on a copy of the root."""
+    """A constraint system as the solver sees it: the pending body
+    (inequalities and the minimum-arc row); all equality rows, for
+    ``verify``; the lexicographic costs; and the root simplex on the
+    start rows (the presolved equalities), with every variable boxed in
+    [0, 1]. ``_prepare`` builds it on first use and keeps it on the
+    system; it is never changed afterwards, and every node works on a
+    copy of the root."""
 
     def __init__(self, cs: ConstraintSystem):
         n = cs.n_vars
@@ -442,8 +425,8 @@ class _Compiled:
         ]
         self.body = _Pending(inequalities, n)
         self.equalities = _Pending(equalities, n)
-        self.start: Rows = [(row.vector, 0) for row in cs.independent_equality_rows]
-        self.root = _Simplex(self.start, self.costs, [1] * n, 0)
+        start: Rows = [(row.vector, 0) for row in cs.independent_equality_rows]
+        self.root = _Simplex(start, self.costs, [1] * n)
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the
@@ -462,46 +445,6 @@ def _prepare(inst: ILPInstance) -> _Compiled:
         # stored only once built, so a failed build leaves nothing behind
         state["compiled"] = _Compiled(inst.system)
     return state["compiled"]
-
-
-def _solve_lp(
-    start: Rows,
-    rows: Rows,
-    costs: Sequence[int],
-    upper: Sequence[int],
-    fixings: dict[int, int] | None = None,
-    slack_upper: int | None = None,
-) -> tuple[str, list[Fraction]]:
-    """Exact minimum of ``costs . v`` over ``start + rows`` with
-    ``0 <= v <= upper`` and the fixings: one simplex on the start rows,
-    each with its slack in ``[0, slack_upper]``, and the other rows by
-    row generation."""
-    simplex = _Simplex(start, costs, upper, slack_upper)
-    for index, value in (fixings or {}).items():
-        simplex.fix(index, value)
-    pending = _Pending(rows, len(costs))
-    status, point = pending.optimum(simplex)
-    num, den = point or ([], 1)
-    return status, [Fraction(v, den) for v in num]
-
-
-@_names_pair
-def lp_relax(inst: ILPInstance) -> LPRelaxation:
-    """Continuous relaxation: variables bounded in [0, 1], fixings as
-    bounds, the plain objective as costs.
-
-    The value is an exact rational lower bound on the binary optimum; it
-    cannot be unbounded because every variable is bounded.
-    """
-    compiled = _prepare(inst)
-    costs = inst.system.objective
-    status, point = _solve_lp(
-        compiled.start, compiled.body.rows, costs, [1] * len(costs), inst.fixings, 0
-    )
-    if status != "optimal":
-        return LPRelaxation(status="infeasible", value=None, point=None)
-    value = sum(c * p for c, p in zip(costs, point))
-    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
 
 
 @_names_pair
@@ -583,7 +526,8 @@ def brute_force(inst: ILPInstance) -> Solution:
     """Exhaustive oracle over all binary assignments honouring the fixings.
 
     Same tie-break as solve: objective first, then lexicographically
-    smallest assignment. Guarded by the enumeration budget.
+    smallest assignment. Guarded by the enumeration budget. It needs
+    numpy, which the package installs only with its ``test`` extra.
     """
     cs = inst.system
     n = cs.n_vars

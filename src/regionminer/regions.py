@@ -247,6 +247,10 @@ def build_constraint_system(
 
 
 def _residency_from_rows(rows: Sequence[Row], n: int) -> tuple[int, ...]:
+    """Frequency-weighted token-residency profile: the marking bit costs
+    one plus the total mass of the rows, each incoming arc costs the mass
+    of the prefixes it feeds, each outgoing arc credits the mass it
+    drains."""
     coeffs = [0] * (2 * n + 1)
     coeffs[0] = 1
     for row in rows:
@@ -270,20 +274,6 @@ def _objective_from_rows(rows: Sequence[Row], n: int) -> tuple[int, ...]:
         row.weight * (1 + sum(row.vector[1 : n + 1])) for row in rows
     )
     return tuple(unit + r for r in residency)
-
-
-def residency_vector(pc: PrefixClosure) -> tuple[int, ...]:
-    """Frequency-weighted token-residency profile: the marking bit costs
-    one plus the total closure mass, each incoming arc costs the mass of
-    the prefixes it feeds, each outgoing arc credits the mass it drains."""
-    cs = build_constraint_system(pc)
-    return _residency_from_rows(cs.inequality_rows, cs.n_activities)
-
-
-def objective_vector(pc: PrefixClosure) -> tuple[int, ...]:
-    """Objective coefficients for the unfiltered closure: arc-minimal
-    primary with residency tie-break."""
-    return build_constraint_system(pc).objective
 
 
 def instantiate_causal_ilp(cs: ConstraintSystem, a: str, b: str) -> ILPInstance:

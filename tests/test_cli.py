@@ -324,6 +324,8 @@ _HEAVY_ARC_LOG = b"1" + b"0" * 400 + b";a b c\n1;a c b\n"
         (["convert", "--out", "{out}"], "x.xes", _UNKNOWN_ENCODING_XML),
         (["evaluate", "--xes", "--pnml", "{net}"], "x.xes", _UNKNOWN_ENCODING_XML),
         (["evaluate", "--pnml", "{input}"], "x.pnml", _UNKNOWN_ENCODING_XML),
+        # the filter fails after a grid cell has started: still no CSV header
+        (["sweep", "--alphas", "1", "--noise-levels", "0"], "heavy.log", _HEAVY_ARC_LOG),
     ],
 )
 def test_malformed_input_is_one_error_line(workspace, capsys, args, name, content):
@@ -437,37 +439,68 @@ def test_determinism_across_runs(workspace):
     assert (workspace / "one.pnml").read_bytes() == (workspace / "two.pnml").read_bytes()
 
 
-def test_discover_and_evaluate_run_without_numpy(workspace, l1):
-    # numpy serves only the brute_force oracle: with it blocked, discover
-    # writes the golden nets, filtered and unfiltered, and evaluate scores one
-    log, pnml = str(workspace / "l1.log"), str(workspace / "net.pnml")
-    discover = ["discover", "--log", log, "--no-filter", "--out-pnml", pnml]
-    evaluate = ["evaluate", "--log", log, "--pnml", pnml]
-    prime, out = str(workspace / "l1_prime.log"), str(workspace / "f.pnml")
-    filtered = ["discover", "--log", prime, "--alpha", "0.75", "--out-pnml", out]
-    script = "\n".join(
-        [
-            "import sys",
-            "sys.modules['numpy'] = None",
-            "from regionminer.cli import main",
-            f"code = main({filtered!r}) or main({discover!r})",
-            f"sys.exit(code or main({evaluate!r}))",
-        ]
-    )
+def _numpy_blocked_commands(workspace, out):
+    """One run of every command, writing into ``out``."""
+    log, prime, xes = (str(workspace / n) for n in ("l1.log", "l1_prime.log", "small.xes"))
+    return [
+        ["discover", "--log", prime, "--alpha", "0.75", "--out-pnml", f"{out}/f.pnml"],
+        ["discover", "--log", log, "--no-filter", "--out-pnml", f"{out}/net.pnml"],
+        ["evaluate", "--log", log, "--pnml", f"{out}/net.pnml"],
+        ["noise", "--log", log, "--level", "0.1", "--seed", "3", "--out", f"{out}/noisy.log"],
+        ["sweep", "--log", log, "--alphas", "0.75", "--noise-levels", "0,0.1", "--seed", "5"],
+        ["discover", "--xes", "--log", xes, "--no-filter", "--out-pnml", f"{out}/s.pnml"],
+        ["convert", "--xes", xes, "--out", f"{out}/s.log"],
+        ["evaluate", "--xes", "--log", xes, "--pnml", f"{out}/s.pnml"],
+    ]
+
+
+def _without_wall_ms(out):
+    # the sweep's last column is a wall time; every other line has no comma
+    return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+
+
+def _run_python(script):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_discover_and_evaluate_run_without_numpy(workspace, l1, capsys):
+    # numpy serves only the brute_force oracle: with it blocked, every
+    # command runs, discover writes the golden nets, evaluate scores one,
+    # and each output equals its plain twin's from a process with numpy
+    blocked, plain = workspace / "blocked", workspace / "plain"
+    blocked.mkdir()
+    plain.mkdir()
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "from regionminer.cli import main",
+            f"for argv in {_numpy_blocked_commands(workspace, blocked)!r}:",
+            "    if main(argv):",
+            "        sys.exit(1)",
+        ]
+    )
+    done = _run_python(script)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    for argv in _numpy_blocked_commands(workspace, plain):
+        assert main(argv) == 0
+    assert _without_wall_ms(done.stdout) == _without_wall_ms(capsys.readouterr().out)
+    for name in ("f.pnml", "net.pnml", "noisy.log", "s.pnml", "s.log"):
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
     golden = (DATA / "l1_unfiltered.pnml").read_bytes()
-    assert (workspace / "net.pnml").read_bytes() == golden
+    assert (blocked / "net.pnml").read_bytes() == golden
     golden = (DATA / "l1_prime_alpha_0.75.pnml").read_bytes()
-    assert (workspace / "f.pnml").read_bytes() == golden
-    assert done.stdout.split() == [
+    assert (blocked / "f.pnml").read_bytes() == golden
+    lines = done.stdout.splitlines()
+    assert lines[:6] == [
         "fitness=1.000000",
         "precision=0.700122",
         "allowed_mass=817",
@@ -475,6 +508,17 @@ def test_discover_and_evaluate_run_without_numpy(workspace, l1):
         "escaping_mass=245",
         "replayed_traces=55",
     ]
+    assert lines[6] == "noise,alpha,fitness,precision,wall_ms" and len(lines) == 6 + 3 + 6
+    assert parse_trace_log((blocked / "noisy.log").read_text()).total_instances == 55
+    converted = parse_trace_log((blocked / "s.log").read_text())
+    assert converted.traces == {("a", "b", "c"): 2, ("a", "b"): 1}
+    assert lines[-6] == "fitness=1.000000"
+    # the package itself loads neither numpy nor the exact-arithmetic modules
+    modules = ("numpy", "fractions", "decimal")
+    done = _run_python(
+        f"import sys, regionminer; print([m for m in {modules!r} if m in sys.modules])"
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
     # in a process that has numpy, the oracle still solves l1's pairs
     use, start, end = use_transform(l1)
     cs = build_constraint_system(prefix_closure(use, start, end))

@@ -184,6 +184,19 @@ def test_debug_log_reports_rows_and_pairs(l1, caplog):
     assert any(m.startswith("pair (a, b): optimal, objective ") for m in pair_lines)
 
 
+def test_replacement_solver_pays_for_no_presolve():
+    # the equality presolve serves the built-in solver and the debug line
+    # only, so a replacement solver with DEBUG off never builds it (a small
+    # log: brute_force takes seconds on l1's 21 variables)
+    from regionminer.ilp import brute_force
+
+    log = EventLog.from_pairs([(("a", "b", "c", "d"), 3), (("a", "c", "b", "d"), 2)])
+    assert not logging.getLogger("regionminer.discovery").isEnabledFor(logging.DEBUG)
+    result = run_discovery(log, DiscoveryOptions(solver=brute_force))
+    assert result.pair_regions
+    assert "independent_equality_rows" not in result.system.__dict__
+
+
 def test_debug_log_reports_solver_counters(l1, caplog):
     from regionminer import ilp
 

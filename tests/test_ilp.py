@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from regionminer import DiscoveryOptions, ilp, run_discovery
 from regionminer.errors import SolverError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
-from regionminer.ilp import _solve_lp, brute_force, lp_relax, solve
+from regionminer.ilp import brute_force, solve
 from regionminer.petri import export_pnml
 from regionminer.regions import (
     ConstraintSystem,
@@ -20,20 +20,20 @@ from regionminer.regions import (
 )
 
 from .conftest import DATA
-from .util import admissible_pairs, random_instance, random_use_system
-
-
-def _lp(rows, costs, upper):
-    """The one LP entry on rows in any order, with 0 <= v <= upper: rows
-    the origin satisfies start the simplex, the others are added to it."""
-    start = [row for row in rows if row[1] <= 0]
-    return _solve_lp(start, [row for row in rows if row[1] > 0], costs, upper)
+from .util import (
+    LPRelaxation,
+    admissible_pairs,
+    lp_relax,
+    random_instance,
+    random_use_system,
+    solve_lp,
+)
 
 
 def test_simplex_box_corner():
     # min -x - y st x <= 2, y <= 2 -> optimum -4 at (2, 2)
     rows = [((-1, 0), -2), ((0, -1), -2)]
-    status, point = _lp(rows, [-1, -1], [3, 3])
+    status, point = solve_lp(rows, [-1, -1], [3, 3])
     assert status == "optimal"
     assert point == [Fraction(2), Fraction(2)]
 
@@ -41,7 +41,7 @@ def test_simplex_box_corner():
 def test_simplex_balances_constraints():
     # min -x - y st x + y <= 3, x <= 2, y <= 2
     rows = [((-1, -1), -3), ((-1, 0), -2), ((0, -1), -2)]
-    status, point = _lp(rows, [-1, -1], [3, 3])
+    status, point = solve_lp(rows, [-1, -1], [3, 3])
     assert status == "optimal"
     assert sum(point) == 3
 
@@ -49,23 +49,21 @@ def test_simplex_balances_constraints():
 def test_simplex_needs_phase_one():
     # min x st x >= 2, x <= 5
     rows = [((1,), 2), ((-1,), -5)]
-    status, point = _lp(rows, [1], [6])
+    status, point = solve_lp(rows, [1], [6])
     assert status == "optimal"
     assert point == [Fraction(2)]
-    # a start row the origin violates is one more row for the dual simplex
-    assert _solve_lp(rows, [], [1], [6]) == ("optimal", [Fraction(2)])
 
 
 def test_simplex_detects_infeasible():
     rows = [((1,), 2), ((-1,), -1)]
-    status, _ = _lp(rows, [1], [3])
+    status, _ = solve_lp(rows, [1], [3])
     assert status == "infeasible"
 
 
 def test_simplex_fractional_optimum():
     # min -x st 2x <= 1
     rows = [((-2,), -1)]
-    status, point = _lp(rows, [-1], [1])
+    status, point = solve_lp(rows, [-1], [1])
     assert status == "optimal"
     assert point == [Fraction(1, 2)]
 
@@ -84,7 +82,7 @@ def test_simplex_matches_scipy_on_random_lps():
             (tuple(-1 if k == j else 0 for k in range(n)), -3) for j in range(n)
         ]
         costs = [rng.randint(-5, 5) for _ in range(n)]
-        status, point = _lp(rows, costs, [3] * n)
+        status, point = solve_lp(rows, costs, [3] * n)
         result = scipy_opt.linprog(
             c=costs,
             A_ub=[[-c for c in coefs] for coefs, _ in rows],
@@ -415,7 +413,7 @@ def test_coefficients_beyond_int64_pivot_exactly():
     assert result == brute_force(inst)
     assert result.status == "optimal"
     # entries beyond 64 bits
-    assert _lp([((2**70,), 2**69), ((-1,), -1)], [1], [1]) == (
+    assert solve_lp([((2**70,), 2**69), ((-1,), -1)], [1], [1]) == (
         "optimal",
         [Fraction(1, 2)],
     )
@@ -425,8 +423,9 @@ def test_start_row_at_the_int64_minimum_solves_exactly():
     # -2**63 fits int64 but its negation does not; the optimum's
     # denominator, 2**63, does not fit either
     big = 1 << 63
-    assert _lp([((-big,), -big)], [-1], [2]) == ("optimal", [Fraction(1)])
-    assert _lp([((-big, 0), -big), ((0, -1), -1), ((1, 1), 1)], [-1, 1], [2, 2]) == (
+    assert solve_lp([], [-1], [2], start=[((-big,), -big)]) == ("optimal", [Fraction(1)])
+    rows = [((0, -1), -1), ((1, 1), 1)]
+    assert solve_lp(rows, [-1, 1], [2, 2], start=[((-big, 0), -big)]) == (
         "optimal",
         [Fraction(1), Fraction(0)],
     )
@@ -614,9 +613,9 @@ def test_row_generated_node_builds_one_simplex(l1):
         ilp._Simplex.reoptimise,
     )
 
-    def counting_init(self, rows, costs, upper, slack_upper):
+    def counting_init(self, rows, costs, upper):
         built.append(self)
-        init(self, rows, costs, upper, slack_upper)
+        init(self, rows, costs, upper)
 
     def counting_copy(self):
         twin = copy(self)
@@ -748,7 +747,7 @@ def _fresh_result(call, inst):
 
 
 def _work(result):
-    if isinstance(result, ilp.LPRelaxation):
+    if isinstance(result, LPRelaxation):
         return result
     return result, result.nodes, result.pivots
 
@@ -808,7 +807,7 @@ def test_failed_compile_leaves_nothing_cached(l1):
     cs = build_constraint_system(prefix_closure(use, start, end))
     inst = instantiate_causal_ilp(cs, "a", "b")
 
-    def stuck(self, rows, costs, upper, slack_upper):
+    def stuck(self, rows, costs, upper):
         raise SolverError("simplex failed to build")
 
     with pytest.MonkeyPatch.context() as patch:
@@ -844,10 +843,10 @@ def test_rows_with_huge_coefficients_warm_start_exactly(big):
     costs = [3, 5]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp, "_ROW_BATCH", 1)
-        status, point = _solve_lp(box, optional, costs, [1, 1])
+        status, point = solve_lp(box + optional, costs, [1, 1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ilp, "_ROW_BATCH", 10**9)
-        cold_status, cold_point = _solve_lp(box, optional, costs, [1, 1])
+        cold_status, cold_point = solve_lp(box + optional, costs, [1, 1])
     assert status == cold_status == "optimal"
     value = sum(c * p for c, p in zip(costs, point))
     assert value == sum(c * p for c, p in zip(costs, cold_point))

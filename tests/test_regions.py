@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from regionminer.eventlog import EventLog, parikh, prefix_closure, use_transform
 from regionminer.filtering import build_graph, make_kappa_max, sef_bfs
 from regionminer.regions import (
-    residency_vector,
     RegionCandidate,
     Row,
+    _residency_from_rows,
     build_constraint_system,
     check_region,
     encoding_shorthand,
     instantiate_causal_ilp,
     lp_text,
-    objective_vector,
     sequence_encoding,
 )
 
@@ -102,22 +101,27 @@ def test_row_dedup_preserves_feasible_set(pc_l1):
         assert by_rows == ok
 
 
+def _residency(cs):
+    """The token-residency profile of an unfiltered system's rows."""
+    return _residency_from_rows(cs.inequality_rows, cs.n_activities)
+
+
 def test_residency_single_trace():
     use, start, end = use_transform(EventLog(traces={("a",): 1}))
     pc = prefix_closure(use, start, end)
     # three prefix rows of weight 1 each, plus the marking penalty
-    assert residency_vector(pc)[0] == 4
+    assert _residency(build_constraint_system(pc))[0] == 4
 
 
 def test_residency_y_end_counts_traces(pc_l1):
     cs = build_constraint_system(pc_l1)
-    res = residency_vector(pc_l1)
+    res = _residency(cs)
     assert res[cs.y_index(pc_l1.end)] == -55
 
 
 def test_residency_x_nonnegative_y_nonpositive(pc_l1):
     cs = build_constraint_system(pc_l1)
-    res = residency_vector(pc_l1)
+    res = _residency(cs)
     n = cs.n_activities
     assert all(c >= 0 for c in res[1 : n + 1])
     assert all(c <= 0 for c in res[n + 1 :])
@@ -127,10 +131,10 @@ def test_objective_is_arc_primary_with_residency_tiebreak():
     use, start, end = use_transform(EventLog(traces={("a",): 1}))
     pc = prefix_closure(use, start, end)
     cs = build_constraint_system(pc)
-    res = residency_vector(pc)
+    res = _residency(cs)
     # unit = 2 + sum of weight * (1 + prefix length) over the three rows
     unit = 2 + (1 * 1 + 1 * 2 + 1 * 3)
-    assert objective_vector(pc) == cs.objective == tuple(unit + r for r in res)
+    assert cs.objective == tuple(unit + r for r in res)
     # one arc more always costs more than any residency difference
     assert unit > max(res) - min(res)
 

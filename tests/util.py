@@ -2,7 +2,10 @@
 
 import random
 import string
+from dataclasses import dataclass
+from fractions import Fraction
 
+from regionminer import ilp
 from regionminer.causal import dependency
 from regionminer.errors import GraphRepairError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
@@ -66,6 +69,45 @@ def random_instance(rng: random.Random):
     )
     a, b = rng.choice(admissible_pairs(pc))
     return instantiate_causal_ilp(cs, a, b)
+
+
+def solve_lp(rows, costs, upper, fixings=None, start=()):
+    """Exact minimum of ``costs . v`` over the rows ``coefs . v >= rhs``
+    with ``0 <= v <= upper`` and the fixings, on the solver's own simplex:
+    the start rows are equalities in the first tableau, and every row
+    joins by row generation. Returns the status and the point as
+    Fractions (empty when infeasible)."""
+    simplex = ilp._Simplex(list(start), costs, upper)
+    for index, value in (fixings or {}).items():
+        simplex.fix(index, value)
+    status, point = ilp._Pending(rows, len(costs)).optimum(simplex)
+    num, den = point or ([], 1)
+    return status, [Fraction(v, den) for v in num]
+
+
+@dataclass(frozen=True)
+class LPRelaxation:
+    status: str  # "optimal" | "infeasible"
+    value: Fraction | None
+    point: tuple[Fraction, ...] | None
+
+
+def lp_relax(inst) -> LPRelaxation:
+    """Continuous relaxation of an instance: variables in [0, 1], the
+    fixings as bounds, the plain objective as costs, on the rows
+    ``ilp.solve`` uses (the presolved equalities as start rows, the body
+    by row generation). Its value is an exact lower bound on the binary
+    optimum."""
+    compiled = ilp._prepare(inst)
+    costs = inst.system.objective
+    start = [(row.vector, 0) for row in inst.system.independent_equality_rows]
+    status, point = solve_lp(
+        compiled.body.rows, costs, [1] * len(costs), inst.fixings, start
+    )
+    if status != "optimal":
+        return LPRelaxation(status="infeasible", value=None, point=None)
+    value = sum(c * p for c, p in zip(costs, point))
+    return LPRelaxation(status="optimal", value=Fraction(value), point=tuple(point))
 
 
 def _oracle_reachable(vertices, arcs, source, forward=True):
