@@ -26,12 +26,11 @@ the bound it broke. The entering column is a nonbasic, non-fixed ``j``
 whose move away from its bound takes the leaving variable toward that
 bound, minimising ``|cost[j] / T[row][j]|`` (compared by
 cross-multiplying; ties: lower variable id), and a row without such a
-column proves the relaxation infeasible. A fixed variable never enters,
-so an equality's slack, once it has left the basis, stays out. The start
-rows are the presolved equalities (below); every other row is written
-into the optimal tableau by ``_Simplex.add_rows``, each with a fresh
-basic slack, which keeps the reduced costs as they are, and the dual
-simplex runs again. Rows enter this way by row generation: the
+column proves the relaxation infeasible; a fixed variable never enters.
+The start rows are the presolved equalities (below); every other row is
+written into the optimal tableau by ``_Simplex.add_rows``, each with a
+fresh basic slack, which keeps the reduced costs as they are, and the
+dual simplex runs again. Rows enter this way by row generation: the
 minimum-arc row and the body's inequality rows wait in a pending set;
 after each optimum the most violated of them, up to ``_ROW_BATCH`` per
 round, are added, until the optimum satisfies every row and so is the
@@ -41,14 +40,18 @@ One root per system: the start rows, the pending body and the costs
 depend only on the constraint system, never on the fixings, so
 ``_Compiled`` validates the rows, stores them and builds the root
 simplex once per system, and keeps it on the system
-(``ConstraintSystem.solver_state``). Each pair copies the root and fixes
-``m = 0``, ``x_a = 1`` and ``y_b = 1`` on the copy; a branch-and-bound
-child copies its parent's optimal tableau and fixes the branching
-variable, so every node is a warm start. No node records which pending
-rows its path has added: a row in the tableau keeps its slack ``>= 0``,
-so it holds at every optimum and is never violated again. The root
-itself is never changed, and ``Solution.pivots`` sums the dual pivots of
-every node.
+(``ConstraintSystem.solver_state``). Building it takes the equality
+pivots once (``_Simplex.drop_start_slacks``): every start row's slack
+leaves the basis, fixed at 0, and its column is deleted, so no pair
+repeats those pivots and every tableau is one column per kept equality
+narrower. Each pair copies the root and fixes ``m = 0``, ``x_a = 1`` and
+``y_b = 1`` on the copy; a branch-and-bound child copies its parent's
+optimal tableau and fixes the branching variable, so every node is a
+warm start. No node records which pending rows its path has added: a row
+in the tableau keeps its slack ``>= 0``, so it holds at every optimum
+and is never violated again. The root itself is never changed, and
+``Solution.pivots`` sums the dual pivots of the pair's nodes, none of
+the root's.
 
 The dual loop falls back to Bland's rule (the lowest variable id
 leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
@@ -56,11 +59,11 @@ leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
 
 Tableau: a simplex keeps a condensed tableau of Python-int rows with one
 column per nonbasic variable plus the right-hand side, so its width
-stays ``n + 1`` for a whole solve however many rows join it. Row ``i``
-reads ``den * basic_i + sum_j T[i][j] * nonbasic_j = T[i][n]``;
-``basis`` names each row's variable and ``nonbasic`` each column's
-(structural variables are ``0 .. n-1``, slacks follow in the order their
-rows joined). The last column is the right-hand side with every nonbasic
+stays ``n - e + 1`` (``e`` kept equalities) for a whole solve however
+many rows join it. Row ``i`` reads ``den * basic_i + sum_j T[i][j] *
+nonbasic_j = T[i][-1]``; ``basis`` names each row's variable and
+``nonbasic`` each column's (structural variables are ``0 .. n-1``,
+slacks follow in the order their rows joined). The last column is the right-hand side with every nonbasic
 variable at zero; the basic values subtract the columns of the nonbasic
 variables that sit away from zero (``raised``), which is where a bound
 change shows. A pivot is the fraction-free Jordan exchange (Bareiss) of
@@ -194,7 +197,8 @@ class _Simplex:
     equality, its slack fixed at 0, and an added row's slack is in
     ``[0, None]``. The structural variables start in ``[0, upper]``.
     Construction builds the slack basis on the start rows without
-    pivoting; ``fix``, ``add_rows`` and ``reoptimise`` do the rest.
+    pivoting; ``drop_start_slacks`` pivots them out once, on the root, and
+    ``fix``, ``add_rows`` and ``reoptimise`` do the rest.
     """
 
     def __init__(self, rows: Rows, costs: Sequence[int], upper: Sequence[int]):
@@ -308,8 +312,7 @@ class _Simplex:
     def reoptimise(self) -> tuple[str, Point | None]:
         """Bounded dual simplex: the reduced costs stay dual feasible while
         pivots bring every basic value within its bounds."""
-        basis, nonbasic, raised = self.basis, self.nonbasic, self.raised
-        lower, upper = self.lower, self.upper
+        basis, raised, lower, upper = self.basis, self.raised, self.lower, self.upper
         pivots = 0
         bland_after = _BLAND_BASE + _BLAND_PER_ROW * len(self.tableau)
         while True:
@@ -332,23 +335,7 @@ class _Simplex:
                     row, gap, target = i, miss, bound
             if row is None:
                 return "optimal", self._point(values)
-            falls = values[row] > target * den
-            line, cost = self.tableau[row], self.cost
-            entering = None
-            for j, var in enumerate(nonbasic):
-                coef = line[j]
-                if not coef or lower[var] == upper[var]:
-                    continue  # a fixed variable never enters
-                # moving j off its bound must move the leaving variable to target
-                if (coef > 0) != (falls != (raised.get(j, 0) == upper[var])):
-                    continue
-                if entering is None:
-                    entering = j
-                    continue
-                # smallest |cost[j] / coef|, compared by cross-multiplying
-                left, right = abs(cost[j] * line[entering]), abs(cost[entering] * coef)
-                if left < right or (left == right and var < nonbasic[entering]):
-                    entering = j
+            entering = self._entering(row, values[row] > target * den)
             if entering is None:
                 return "infeasible", None
             self._pivot(row, entering)
@@ -359,6 +346,51 @@ class _Simplex:
             pivots += 1
             if pivots > _PIVOT_LIMIT:
                 raise SolverError("dual simplex failed to terminate")
+
+    def drop_start_slacks(self) -> None:
+        """Pivot every start row's slack out of the basis on a fresh
+        simplex, then delete its column, which as a fixed 0 adds nothing.
+        The origin satisfies the start rows, so ``reoptimise`` ends at
+        their optimum; a slack still basic there sits at 0, both its
+        bounds, so a degenerate pivot either way keeps dual feasibility."""
+        self.reoptimise()
+        for row in range(len(self.basis)):
+            if self.basis[row] >= self.n:
+                col = self._entering(row, True)
+                if col is None:
+                    col = self._entering(row, False)
+                self._pivot(row, col)
+                self.raised.pop(col, None)  # the column now holds the slack, at 0
+        keep = [j for j, var in enumerate(self.nonbasic) if var < self.n]
+        position = {j: k for k, j in enumerate(keep)}
+        keep.append(len(self.nonbasic))  # the right-hand side
+        self.tableau = [[line[j] for j in keep] for line in self.tableau]
+        self.cost = [self.cost[j] for j in keep]
+        self.nonbasic = [self.nonbasic[j] for j in keep[:-1]]
+        self.raised = {position[j]: value for j, value in self.raised.items()}
+        self.pivots = 0
+
+    def _entering(self, row: int, falls: bool) -> int | None:
+        """The ratio test: the entering column for the basic variable of
+        ``row`` when it must fall (``falls``) or rise, or None."""
+        line, cost, nonbasic = self.tableau[row], self.cost, self.nonbasic
+        lower, upper, raised = self.lower, self.upper, self.raised
+        entering = None
+        for j, var in enumerate(nonbasic):
+            coef = line[j]
+            if not coef or lower[var] == upper[var]:
+                continue  # a fixed variable never enters
+            # moving j off its bound must move the leaving variable to target
+            if (coef > 0) != (falls != (raised.get(j, 0) == upper[var])):
+                continue
+            if entering is None:
+                entering = j
+                continue
+            # smallest |cost[j] / coef|, compared by cross-multiplying
+            left, right = abs(cost[j] * line[entering]), abs(cost[entering] * coef)
+            if left < right or (left == right and var < nonbasic[entering]):
+                entering = j
+        return entering
 
     def _point(self, values: list[int]) -> Point:
         num = [0] * self.n
@@ -410,11 +442,11 @@ class _Pending:
 class _Compiled:
     """A constraint system as the solver sees it: the pending body
     (inequalities and the minimum-arc row); all equality rows, for
-    ``verify``; the lexicographic costs; and the root simplex on the
-    start rows (the presolved equalities), with every variable boxed in
-    [0, 1]. ``_prepare`` builds it on first use and keeps it on the
-    system; it is never changed afterwards, and every node works on a
-    copy of the root."""
+    ``verify``; the lexicographic costs; and the root simplex, optimal on
+    the start rows (the presolved equalities) with every variable boxed
+    in [0, 1] and their slacks dropped. ``_prepare`` builds it on first
+    use and keeps it on the system; it is never changed afterwards, and
+    every node works on a copy of the root."""
 
     def __init__(self, cs: ConstraintSystem):
         n = cs.n_vars
@@ -427,6 +459,7 @@ class _Compiled:
         self.equalities = _Pending(equalities, n)
         start: Rows = [(row.vector, 0) for row in cs.independent_equality_rows]
         self.root = _Simplex(start, self.costs, [1] * n)
+        self.root.drop_start_slacks()
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
         """Whether the assignment satisfies every original row (the

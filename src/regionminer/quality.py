@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .eventlog import EventLog, Trace, prefix_closure
 from .petri import CompiledNet, WorkflowNet, first_step, label_map
@@ -248,14 +250,20 @@ def _manipulate(rng: random.Random, trace: Trace) -> Trace:
     op = rng.choice(_MANIPULATIONS)
     size_bound = max(1, len(trace) // 3)
     if op == "swap":
-        pairs = [
-            (i, j)
-            for i in range(len(trace))
-            for j in range(i + 1, len(trace))
-            if trace[i] != trace[j]
-        ]
-        if pairs:
-            i, j = pairs[rng.randrange(len(pairs))]
+        # draw the k-th of the pairs i < j with trace[i] != trace[j], in
+        # (i, j) order, without listing them: count them, then walk to it
+        later = Counter(trace)
+        count = math.comb(len(trace), 2) - sum(math.comb(c, 2) for c in later.values())
+        if count:
+            k = rng.randrange(count)
+            for i, a in enumerate(trace):
+                later[a] -= 1  # occurrences of a after position i
+                partners = len(trace) - 1 - i - later[a]
+                if k < partners:
+                    break
+                k -= partners
+            others = (j for j in range(i + 1, len(trace)) if trace[j] != a)
+            j = next(islice(others, k, None))
             swapped = list(trace)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             return tuple(swapped)

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from regionminer.discovery import DiscoveryOptions, discover
 from regionminer.errors import ReplayError
 from regionminer.eventlog import EventLog
 from regionminer.petri import PetriNet, WorkflowNet, replay
+from regionminer import quality
 from regionminer.quality import (
     QualityReport,
     escaping_edges_precision,
@@ -324,3 +328,61 @@ def test_inject_noise_rejects_bad_level(l1):
         inject_noise(l1, 1.5, seed=0)
     with pytest.raises(ValueError):
         inject_noise(l1, -0.1, seed=0)
+
+
+def _manipulate_by_listing(rng, trace):
+    """``quality._manipulate`` with the swap drawn from a list of every
+    pair of differing positions: the reference for the counting walk."""
+    op = rng.choice(quality._MANIPULATIONS)
+    size_bound = max(1, len(trace) // 3)
+    if op == "swap":
+        pairs = [
+            (i, j)
+            for i in range(len(trace))
+            for j in range(i + 1, len(trace))
+            if trace[i] != trace[j]
+        ]
+        if pairs:
+            i, j = pairs[rng.randrange(len(pairs))]
+            swapped = list(trace)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            return tuple(swapped)
+        op = "tail"
+    size = rng.randint(1, size_bound)
+    if op == "head":
+        return trace[size:]
+    if op == "tail":
+        return trace[:-size]
+    start = rng.randint(0, len(trace) - size)
+    return trace[:start] + trace[start + size :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from("abc"), min_size=2, max_size=24).map(tuple),
+    st.integers(0, 2**32),
+)
+def test_manipulate_matches_listing_every_swap(trace, seed):
+    # same trace out and the same random state left behind, so every
+    # noisy log stays as it was
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert quality._manipulate(rng, trace) == _manipulate_by_listing(reference, trace)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_noise_swap_is_linear_in_the_trace():
+    # seed 0 swaps two events of this 20,002-event trace; listing every
+    # pair of differing positions would keep about 10**8 tuples
+    trace = ("a",) + ("b", "c") * 10000 + ("d",)
+    log = EventLog(traces={trace: 1})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        noisy = inject_noise(log, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    ((swapped, count),) = noisy.traces.items()
+    assert count == 1 and swapped != trace and sorted(swapped) == sorted(trace)
+    assert peak < 2 * 2**20
