@@ -108,13 +108,11 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
         )
         system = build_constraint_system(pc, retained)
 
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "constraint system: %d inequality rows, %d equality rows, %d kept by presolve",
-            len(system.inequality_rows),
-            len(system.equality_rows),
-            len(system.independent_equality_rows),
-        )
+    logger.debug(
+        "constraint system: %d inequality rows, %d equality rows",
+        len(system.inequality_rows),
+        len(system.equality_rows),
+    )
     pair_regions: dict[Pair, RegionCandidate] = {}
     for pair in sorted(causal.arcs):
         solution = solver(instantiate_causal_ilp(system, *pair))

@@ -27,10 +27,10 @@ whose move away from its bound takes the leaving variable toward that
 bound, minimising ``|cost[j] / T[row][j]|`` (compared by
 cross-multiplying; ties: lower variable id), and a row without such a
 column proves the relaxation infeasible; a fixed variable never enters.
-The start rows are the presolved equalities (below); every other row is
-written into the optimal tableau by ``_Simplex.add_rows``, each with a
-fresh basic slack, which keeps the reduced costs as they are, and the
-dual simplex runs again. Rows enter this way by row generation: the
+The start rows are the equalities (below); every other row is written
+into the optimal tableau by ``_Simplex.add_rows``, each with a fresh
+basic slack, which keeps the reduced costs as they are, and the dual
+simplex runs again. Rows enter this way by row generation: the
 minimum-arc row and the body's inequality rows wait in a pending set;
 after each optimum the most violated of them, up to ``_ROW_BATCH`` per
 round, are added, until the optimum satisfies every row and so is the
@@ -40,18 +40,22 @@ One root per system: the start rows, the pending body and the costs
 depend only on the constraint system, never on the fixings, so
 ``_Compiled`` validates the rows, stores them and builds the root
 simplex once per system, and keeps it on the system
-(``ConstraintSystem.solver_state``). Building it takes the equality
-pivots once (``_Simplex.drop_start_slacks``): every start row's slack
-leaves the basis, fixed at 0, and its column is deleted, so no pair
-repeats those pivots and every tableau is one column per kept equality
-narrower. Each pair copies the root and fixes ``m = 0``, ``x_a = 1`` and
-``y_b = 1`` on the copy; a branch-and-bound child copies its parent's
-optimal tableau and fixes the branching variable, so every node is a
-warm start. No node records which pending rows its path has added: a row
-in the tableau keeps its slack ``>= 0``, so it holds at every optimum
-and is never violated again. The root itself is never changed, and
-``Solution.pivots`` sums the dual pivots of the pair's nodes, none of
-the root's.
+(``ConstraintSystem.solver_state``). The start rows are the trace
+equalities, each ``m + sum_a c_a (x_a - y_a) = 0``: hundreds in a log,
+of rank at most |A|+1. ``_Simplex.drop_start_slacks`` pivots each one's
+slack out of the root's basis once, in row order, and deletes its
+column; a row whose slack finds no column to enter is all zeros, a
+combination of the rows before it, and is deleted too. So the root
+keeps the first independent equalities, which cut out the same affine
+set, and no pair repeats those pivots; ``verify`` still checks every
+original row. Each pair copies the root and fixes ``m = 0``, ``x_a = 1``
+and ``y_b = 1`` on the copy; a branch-and-bound child copies its
+parent's optimal tableau and fixes the branching variable, so every node
+is a warm start. No node records which pending rows its path has added:
+a row in the tableau keeps its slack ``>= 0``, so it holds at every
+optimum and is never violated again. The root itself is never changed,
+and ``Solution.pivots`` sums the dual pivots of the pair's nodes, none
+of the root's.
 
 The dual loop falls back to Bland's rule (the lowest variable id
 leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
@@ -59,7 +63,7 @@ leaves) after ``_BLAND_BASE + _BLAND_PER_ROW * rows`` pivots and raises
 
 Tableau: a simplex keeps a condensed tableau of Python-int rows with one
 column per nonbasic variable plus the right-hand side, so its width
-stays ``n - e + 1`` (``e`` kept equalities) for a whole solve however
+stays ``n - e + 1`` (``e`` independent equalities) for a whole solve however
 many rows join it. Row ``i`` reads ``den * basic_i + sum_j T[i][j] *
 nonbasic_j = T[i][-1]``; ``basis`` names each row's variable and
 ``nonbasic`` each column's (structural variables are ``0 .. n-1``,
@@ -87,17 +91,6 @@ denominator ``den``, so an LP point is its numerators with ``den``.
 Row slacks (times ``den``), the node bound, integrality (``den`` divides
 the numerator) and the branching choice are all read from those
 integers, so no ``Fraction`` is ever built.
-
-Presolve: the trace-emptiness equalities all read
-``m + sum_a c_a (x_a - y_a) = 0``, so they have rank at most |A|+1 while
-a log can contribute hundreds of them. Before they become the start
-rows every relaxation carries, one row each, they are reduced to their
-first linearly independent subset
-(``ConstraintSystem.independent_equality_rows``, found by exact integer
-elimination and cached on the system, so all pairs share one
-computation). The subset keeps the original integer rows and spans the
-same affine set, so every relaxation has exactly the same feasible
-region. Re-verification of an optimum still checks every original row.
 
 Determinism: among equal-objective optima the solver returns the
 lexicographically smallest assignment in (m, x, y) order. Over n
@@ -197,8 +190,8 @@ class _Simplex:
     equality, its slack fixed at 0, and an added row's slack is in
     ``[0, None]``. The structural variables start in ``[0, upper]``.
     Construction builds the slack basis on the start rows without
-    pivoting; ``drop_start_slacks`` pivots them out once, on the root, and
-    ``fix``, ``add_rows`` and ``reoptimise`` do the rest.
+    pivoting; ``drop_start_slacks`` pivots them out (or drops them) once,
+    on the root, and ``fix``, ``add_rows`` and ``reoptimise`` do the rest.
     """
 
     def __init__(self, rows: Rows, costs: Sequence[int], upper: Sequence[int]):
@@ -352,15 +345,23 @@ class _Simplex:
         simplex, then delete its column, which as a fixed 0 adds nothing.
         The origin satisfies the start rows, so ``reoptimise`` ends at
         their optimum; a slack still basic there sits at 0, both its
-        bounds, so a degenerate pivot either way keeps dual feasibility."""
+        bounds, so a degenerate pivot either way keeps dual feasibility.
+        A slack with no column to enter either way is a combination of
+        the rows pivoted before it, all zeros, so its row is deleted."""
         self.reoptimise()
-        for row in range(len(self.basis)):
+        row = 0
+        while row < len(self.basis):
             if self.basis[row] >= self.n:
                 col = self._entering(row, True)
                 if col is None:
                     col = self._entering(row, False)
+                if col is None:  # a combination of the rows pivoted before it
+                    del self.tableau[row], self.basis[row]
+                    continue
                 self._pivot(row, col)
                 self.raised.pop(col, None)  # the column now holds the slack, at 0
+            row += 1
+        del self.lower[self.n :], self.upper[self.n :]  # added slacks count from n
         keep = [j for j, var in enumerate(self.nonbasic) if var < self.n]
         position = {j: k for k, j in enumerate(keep)}
         keep.append(len(self.nonbasic))  # the right-hand side
@@ -443,8 +444,8 @@ class _Compiled:
     """A constraint system as the solver sees it: the pending body
     (inequalities and the minimum-arc row); all equality rows, for
     ``verify``; the lexicographic costs; and the root simplex, optimal on
-    the start rows (the presolved equalities) with every variable boxed
-    in [0, 1] and their slacks dropped. ``_prepare`` builds it on first
+    the start rows (those equalities) in the box [0, 1], with their
+    slacks and the dependent rows dropped. ``_prepare`` builds it on first
     use and keeps it on the system; it is never changed afterwards, and
     every node works on a copy of the root."""
 
@@ -457,13 +458,12 @@ class _Compiled:
         ]
         self.body = _Pending(inequalities, n)
         self.equalities = _Pending(equalities, n)
-        start: Rows = [(row.vector, 0) for row in cs.independent_equality_rows]
-        self.root = _Simplex(start, self.costs, [1] * n)
+        self.root = _Simplex(self.equalities.rows, self.costs, [1] * n)
         self.root.drop_start_slacks()
 
     def satisfies(self, assignment: Sequence[int]) -> bool:
-        """Whether the assignment satisfies every original row (the
-        presolve does not apply here)."""
+        """Whether the assignment satisfies every original row, the
+        equalities the root dropped included."""
         return all(s >= 0 for s in self.body.slacks(assignment, 1)) and not any(
             self.equalities.slacks(assignment, 1)
         )

@@ -59,16 +59,13 @@ class PetriNet:
         for t in self.transitions:
             if t not in self.labels:
                 raise ValueError(f"transition {t} has no label entry")
-        self.preset: dict[str, frozenset[str]] = {n: frozenset() for n in nodes}
-        self.postset: dict[str, frozenset[str]] = {n: frozenset() for n in nodes}
         pre: dict[str, set[str]] = {n: set() for n in nodes}
         post: dict[str, set[str]] = {n: set() for n in nodes}
         for source, target in self.arcs:
             post[source].add(target)
             pre[target].add(source)
-        for n in nodes:
-            self.preset[n] = frozenset(pre[n])
-            self.postset[n] = frozenset(post[n])
+        self.preset = {n: frozenset(sources) for n, sources in pre.items()}
+        self.postset = {n: frozenset(targets) for n, targets in post.items()}
 
     def visible_labels(self) -> set[str]:
         return {label for label in self.labels.values() if label is not None}

@@ -13,7 +13,6 @@ outgoing indicators. All constraint coefficients are integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -121,20 +120,6 @@ class ConstraintSystem:
         return (0,) + (1,) * (2 * self.n_activities)
 
     @cached_property
-    def independent_equality_rows(self) -> tuple[Row, ...]:
-        """The first linearly independent equality rows, in row order.
-
-        They span the same row space as all equality rows, so they cut out
-        the same affine set. Every trace equality reads
-        ``m + sum_a c_a (x_a - y_a) = 0``, so at most |A|+1 rows survive.
-        Computed once per system on first use.
-        """
-        return tuple(
-            self.equality_rows[i]
-            for i in _independent_rows([row.vector for row in self.equality_rows])
-        )
-
-    @cached_property
     def solver_state(self) -> dict:
         """What the solver (``ilp``) compiles from this system, under keys
         the solver chooses; empty until the first solve, then shared by
@@ -158,33 +143,6 @@ class ILPInstance:
     system: ConstraintSystem
     fixings: Mapping[int, int]
     pair: tuple[str, str] | None = None
-
-
-def _independent_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the first linearly independent vectors, in order.
-
-    Exact integer elimination: each kept vector is reduced against the
-    earlier reduced ones (each with its own pivot column, zero in every
-    earlier pivot column) and divided by the gcd of its entries, so no
-    fraction and no tolerance enters. A vector that reduces to zero is an
-    exact rational combination of the kept ones.
-    """
-    echelon: list[tuple[int, list[int]]] = []
-    kept: list[int] = []
-    for index, vector in enumerate(vectors):
-        residual = list(vector)
-        for pivot, row in echelon:
-            factor = residual[pivot]
-            if factor:
-                lead = row[pivot]
-                residual = [lead * r - factor * b for r, b in zip(residual, row)]
-        pivot = next((j for j, r in enumerate(residual) if r), None)
-        if pivot is None:
-            continue
-        divisor = math.gcd(*residual)
-        echelon.append((pivot, [r // divisor for r in residual]))
-        kept.append(index)
-    return kept
 
 
 def build_constraint_system(

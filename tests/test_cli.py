@@ -23,6 +23,7 @@ def workspace(tmp_path):
     shutil.copy(DATA / "l1.log", tmp_path / "l1.log")
     shutil.copy(DATA / "l1_prime.log", tmp_path / "l1_prime.log")
     shutil.copy(DATA / "small.xes", tmp_path / "small.xes")
+    shutil.copy(DATA / "loop.log", tmp_path / "loop.log")
     return tmp_path
 
 
@@ -539,6 +540,8 @@ _FIRST_LP = "lp/000___start____a.lp"
         ("l1.log", "--alpha=0.5", "net.pnml", "l1_alpha_0.5.pnml"),
         ("l1.log", "--no-filter", _FIRST_LP, "l1_unfiltered_000.lp"),
         ("l1.log", "--no-filter", "seg.dot", "l1_unfiltered.seg.dot"),
+        # four equality rows of rank 2: the root drops two dependent rows
+        ("loop.log", "--no-filter", "net.pnml", "loop_unfiltered.pnml"),
     ],
 )
 def test_emitted_seg_and_rows_match_golden_files(

@@ -176,8 +176,7 @@ def test_debug_log_reports_rows_and_pairs(l1, caplog):
     cs = result.system
     assert (
         f"constraint system: {len(cs.inequality_rows)} inequality rows, "
-        f"{len(cs.equality_rows)} equality rows, "
-        f"{len(cs.independent_equality_rows)} kept by presolve"
+        f"{len(cs.equality_rows)} equality rows"
     ) in messages
     pair_lines = [m for m in messages if m.startswith("pair ")]
     assert len(pair_lines) == len(result.pair_regions)
@@ -185,16 +184,15 @@ def test_debug_log_reports_rows_and_pairs(l1, caplog):
 
 
 def test_replacement_solver_pays_for_no_presolve():
-    # the equality presolve serves the built-in solver and the debug line
-    # only, so a replacement solver with DEBUG off never builds it (a small
-    # log: brute_force takes seconds on l1's 21 variables)
+    # the equalities are reduced only inside the built-in solver's root,
+    # so a replacement solver compiles nothing of the built-in one (a
+    # small log: brute_force takes seconds on l1's 21 variables)
     from regionminer.ilp import brute_force
 
     log = EventLog.from_pairs([(("a", "b", "c", "d"), 3), (("a", "c", "b", "d"), 2)])
-    assert not logging.getLogger("regionminer.discovery").isEnabledFor(logging.DEBUG)
     result = run_discovery(log, DiscoveryOptions(solver=brute_force))
     assert result.pair_regions
-    assert "independent_equality_rows" not in result.system.__dict__
+    assert "solver_state" not in result.system.__dict__
 
 
 def test_debug_log_reports_solver_counters(l1, caplog):

@@ -321,58 +321,106 @@ def _rank(vectors):
     return rank
 
 
+def _first_independent(rows):
+    """The first linearly independent rows, in order, by ``_rank``."""
+    subset = []
+    for coefs, rhs in rows:
+        if _rank([c for c, _ in subset] + [coefs]) > len(subset):
+            subset.append((coefs, rhs))
+    return subset
+
+
+def test_root_drops_the_dependent_equalities(l1, l1_prime):
+    # the root is built on every equality row: pivoting them in turn takes
+    # the first independent ones in and drops each dependent one, so the
+    # root equals, entry for entry, the root built on the independent rows
+    # alone
+    systems = [
+        run_discovery(log, DiscoveryOptions(alpha=alpha)).system
+        for log in (l1, l1_prime)
+        for alpha in (None, 0.75)
+    ]
+    systems += [random_instance(random.Random(seed)).system for seed in range(40)]
+    dropped = 0
+    for cs in systems:
+        compiled = ilp._prepare(ILPInstance(system=cs, fixings={}))
+        subset = _first_independent([(row.vector, 0) for row in cs.equality_rows])
+        reference = ilp._Simplex(subset, compiled.costs, [1] * cs.n_vars)
+        reference.drop_start_slacks()
+        assert _root_state(compiled.root) == _root_state(reference)
+        dropped += len(cs.equality_rows) - len(subset)
+    assert dropped  # some of these systems have dependent rows
+
+
 @pytest.mark.parametrize("name", ["l1", "l1_prime"])
 def test_presolve_keeps_spanning_independent_rows(name, request):
+    # the root's equality pivots keep the first independent rows, in their
+    # original order, and those span every equality row of the system
     use, start, end = use_transform(request.getfixturevalue(name))
     cs = build_constraint_system(prefix_closure(use, start, end))
-    kept = cs.independent_equality_rows
-    assert kept is cs.independent_equality_rows  # built once per system
+    compiled = ilp._prepare(instantiate_causal_ilp(cs, "a", "b"))
+    # built once per system, shared by every pair
+    assert ilp._prepare(instantiate_causal_ilp(cs, "b", "c")) is compiled
+    kept = _first_independent([(row.vector, 0) for row in cs.equality_rows])
     assert len(kept) <= cs.n_activities + 1
-    # the original rows, in their original order
-    positions = [cs.equality_rows.index(row) for row in kept]
-    assert positions == sorted(positions)
-    basis = [row.vector for row in kept]
+    basis = [coefs for coefs, _ in kept]
     assert _rank(basis) == len(basis)
     for row in cs.equality_rows:
         assert _rank(basis + [row.vector]) == len(basis)
+    # the root keeps exactly these rows: one tableau row each, no slack left
+    root = compiled.root
+    assert len(root.tableau) == len(kept)
+    assert all(var < cs.n_vars for var in root.basis + root.nonbasic)
+    reference = ilp._Simplex(kept, compiled.costs, [1] * cs.n_vars)
+    reference.drop_start_slacks()
+    assert _root_state(root) == _root_state(reference)
 
 
 def _padded(cs, rng):
-    """The system with redundant equality rows mixed in: duplicates, sums
-    and nonzero integer multiples of its own rows."""
+    """The system with redundant equality rows mixed in: duplicates, sums,
+    nonzero integer multiples of its own rows and all-zero rows."""
     rows = list(cs.equality_rows)
     vectors = [row.vector for row in rows]
     for _ in range(rng.randint(1, 6)):
-        kind = rng.choice(["duplicate", "sum", "multiple"])
+        kind = rng.choice(["duplicate", "sum", "multiple", "zero"])
         first = rng.choice(vectors)
         if kind == "duplicate":
             vector = first
         elif kind == "sum":
             second = rng.choice(vectors)
             vector = tuple(a + b for a, b in zip(first, second))
-        else:
+        elif kind == "multiple":
             factor = rng.choice([-3, -2, -1, 2, 3])
             vector = tuple(factor * a for a in first)
+        else:
+            vector = (0,) * len(first)
         rows.insert(rng.randint(0, len(rows)), Row(vector=vector, source=(), weight=1))
     return replace(cs, equality_rows=tuple(rows))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
-def test_presolve_drops_redundant_equalities(seed):
+def test_root_on_padded_equalities(seed):
+    # redundant equality rows leave the root, so it is n - rank + 1 wide
+    # however many rows pad the system, and holds no start slack. Odd
+    # seeds have signed objectives, whose opening re-optimisation may
+    # pivot a redundant row's slack out before the row it repeats
     rng = random.Random(seed)
     pc, cs = random_use_system(
         rng, max_alphabet=4, max_variants=5, max_length=5, max_multiplicity=9
     )
+    if seed % 2:
+        cs = replace(cs, objective=tuple(rng.randint(-9, 9) for _ in cs.objective))
     padded = _padded(cs, rng)
-    basis = [row.vector for row in padded.independent_equality_rows]
-    assert _rank(basis) == len(basis) == len(cs.independent_equality_rows)
-    assert all(_rank(basis + [row.vector]) == len(basis) for row in padded.equality_rows)
+    n, rank = cs.n_vars, _rank([row.vector for row in cs.equality_rows])
     a, b = rng.choice(admissible_pairs(pc))
     inst = instantiate_causal_ilp(padded, a, b)
-    fast = solve(inst)
-    oracle = brute_force(inst)
-    assert fast == oracle
+    root = ilp._prepare(inst).root
+    assert len(root.tableau) == rank
+    assert len(root.nonbasic) == n - rank == len(root.cost) - 1
+    assert all(var < n for var in root.basis + root.nonbasic)
+    assert len(root.lower) == len(root.upper) == n
+    assert solve(inst) == brute_force(inst)
     plain = lp_relax(instantiate_causal_ilp(cs, a, b))
     relaxed = lp_relax(inst)
     assert relaxed.status == plain.status
@@ -790,17 +838,21 @@ def test_shared_root_does_not_leak_between_pairs(l1, l1_prime):
 
 
 def test_root_holds_no_start_slack():
-    # the compiled root has pivoted every kept equality's slack out of the
-    # basis and dropped its column: it is an optimal, dual feasible
+    # the compiled root has pivoted every independent equality's slack out
+    # of the basis and dropped its column: it is an optimal, dual feasible
     # tableau over the structural columns alone, and no node sees a start
-    # slack again. Odd seeds have signed objectives, whose raised
+    # slack again; its slacks are the added rows', numbered from n in the
+    # order they joined. Odd seeds have signed objectives, whose raised
     # variables the degenerate pivots must lower off their columns.
     slackless = []
     reoptimise = ilp._Simplex.reoptimise
 
     def spy(self):
-        seen = set(self.basis + self.nonbasic)
-        slackless.append(seen.isdisjoint(range(self.n, self.n + starts)))
+        slacks = sorted(var for var in self.basis + self.nonbasic if var >= self.n)
+        slackless.append(
+            slacks == list(range(self.n, len(self.lower)))
+            and all(high is None for high in self.upper[self.n :])
+        )
         return reoptimise(self)
 
     for seed in range(40):
@@ -809,10 +861,11 @@ def test_root_holds_no_start_slack():
         if seed % 2:
             signed = tuple(rng.randint(-9, 9) for _ in inst.system.objective)
             inst = replace(inst, system=replace(inst.system, objective=signed))
-        n, starts = inst.system.n_vars, len(inst.system.independent_equality_rows)
+        n, rank = inst.system.n_vars, _rank([r.vector for r in inst.system.equality_rows])
         root = ilp._prepare(inst).root
         assert all(var < n for var in root.basis + root.nonbasic), seed
-        assert len(root.nonbasic) == n - starts == len(root.tableau[0]) - 1
+        assert len(root.lower) == len(root.upper) == n
+        assert len(root.nonbasic) == n - rank == len(root.tableau[0]) - 1
         for var, value in zip(root.basis, root._basic_values()):
             assert root.lower[var] * root.den <= value <= root.upper[var] * root.den
         for j, var in enumerate(root.nonbasic):

@@ -95,12 +95,12 @@ class LPRelaxation:
 def lp_relax(inst) -> LPRelaxation:
     """Continuous relaxation of an instance: variables in [0, 1], the
     fixings as bounds, the plain objective as costs, on the rows
-    ``ilp.solve`` uses (the presolved equalities as start rows, the body
-    by row generation). Its value is an exact lower bound on the binary
-    optimum."""
+    ``ilp.solve`` uses (the deduplicated equalities as start rows, the
+    body by row generation). Its value is an exact lower bound on the
+    binary optimum."""
     compiled = ilp._prepare(inst)
     costs = inst.system.objective
-    start = [(row.vector, 0) for row in inst.system.independent_equality_rows]
+    start = compiled.equalities.rows
     status, point = solve_lp(
         compiled.body.rows, costs, [1] * len(costs), inst.fixings, start
     )
