@@ -132,7 +132,7 @@ def _cmd_discover(args) -> int:
         for index, pair in enumerate(sorted(result.causal.arcs)):
             inst = instantiate_causal_ilp(result.system, *pair)
             safe = re.sub(r"[^A-Za-z0-9_.-]", "_", f"{pair[0]}__{pair[1]}")
-            (directory / f"{index:03d}_{safe}.lp").write_text(lp_text(inst))
+            (directory / f"{index:03d}_{safe}.lp").write_text(lp_text(inst, result.closure))
     return 0
 
 

@@ -66,10 +66,6 @@ class EventLog:
             bag[key] = bag.get(key, 0) + count
         return cls(traces=bag)
 
-    @classmethod
-    def from_traces(cls, traces: Iterable[Sequence[str]]) -> "EventLog":
-        return cls.from_pairs((t, 1) for t in traces)
-
     @property
     def total_instances(self) -> int:
         """Number of trace instances, multiplicities included."""

@@ -67,9 +67,6 @@ class PetriNet:
         self.preset = {n: frozenset(sources) for n, sources in pre.items()}
         self.postset = {n: frozenset(targets) for n, targets in post.items()}
 
-    def visible_labels(self) -> set[str]:
-        return {label for label in self.labels.values() if label is not None}
-
     def components(self):
         return (self.places, self.transitions, self.arcs, self.labels)
 

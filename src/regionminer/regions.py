@@ -79,12 +79,13 @@ class RegionCandidate:
 
 @dataclass(frozen=True)
 class Row:
-    """One constraint row: coefficient vector, representative source
-    sequence and the merged closure frequency of all sequences that share
+    """One constraint row: coefficient vector, the closure node of its
+    representative source sequence (``PrefixClosure.render`` gives the
+    prefix) and the merged closure frequency of all sequences that share
     the vector."""
 
     vector: tuple[int, ...]
-    source: Trace
+    node: int
     weight: int
 
 
@@ -153,12 +154,14 @@ def build_constraint_system(
     Rows are the closure's distinct encodings (``PrefixClosure.numbering``
     builds each once; order abstraction: different interleavings share a
     row), one per non-root vertex id with the vertex's summed frequency
-    and the first node's prefix as source, in vertex id order. A full
-    trace (a node with a multiplicity) has an equality row mirroring its
-    tail, grouped by Parikh id. When ``retained`` is given, it holds the
-    non-root vertex ids that survived the filter (as ``filtering.sef_bfs``
-    returns them): only their inequality rows are emitted, and a trace's
-    emptiness equality is kept only when its whole path survived.
+    and its first node, in vertex id order. A full trace (a node with a
+    multiplicity) has an equality row mirroring its tail, grouped by Parikh
+    id, whose node is the group's first full trace. No prefix is built, so
+    the system is linear in the closure. When ``retained`` is given, it
+    holds the non-root vertex ids that survived the filter (as
+    ``filtering.sef_bfs`` returns them): only their inequality rows are
+    emitted, and a trace's emptiness equality is kept only when its whole
+    path survived.
     """
     alphabet = pc.ordered_alphabet()
     n = len(alphabet)
@@ -183,10 +186,8 @@ def build_constraint_system(
                 groups[pid][1] += mult
             else:
                 groups[pid] = [index, mult]
-    nodes = [first for v, first in enumerate(numbering.first_nodes) if flags[v]]
-    sources = pc.render(nodes + [index for index, _ in groups.values()])
     inequality_rows = tuple(
-        Row(vertices[v], sources[first], numbering.weights[v])
+        Row(vertices[v], first, numbering.weights[v])
         for v, first in enumerate(numbering.first_nodes)
         if v and flags[v]
     )
@@ -194,7 +195,7 @@ def build_constraint_system(
     for index, weight in groups.values():
         tail = vertices[vertex_ids[index]][n + 1 :]
         vector = (1,) + tuple(-c for c in tail) + tail
-        equality_rows.append(Row(vector, sources[index], weight))
+        equality_rows.append(Row(vector, index, weight))
 
     return ConstraintSystem(
         alphabet=alphabet,
@@ -264,10 +265,13 @@ def check_region(
     return True, None
 
 
-def lp_text(inst: ILPInstance) -> str:
-    """Plain-text dump of an instance in an LP-like format."""
+def lp_text(inst: ILPInstance, closure: PrefixClosure) -> str:
+    """Plain-text dump of an instance in an LP-like format; each row is
+    annotated with its source prefix, rendered from ``closure``, the
+    closure the system was built from."""
     cs = inst.system
     names = cs.variable_names()
+    sources = closure.render([row.node for row in cs.inequality_rows + cs.equality_rows])
 
     def term(coef: int, name: str) -> str:
         sign = "+" if coef >= 0 else "-"
@@ -279,9 +283,9 @@ def lp_text(inst: ILPInstance) -> str:
 
     lines = ["minimize", f"  {render(cs.objective)}", "subject to"]
     for row in cs.inequality_rows:
-        lines.append(f"  {render(row.vector)} >= 0  ; <{','.join(row.source)}>")
+        lines.append(f"  {render(row.vector)} >= 0  ; <{','.join(sources[row.node])}>")
     for row in cs.equality_rows:
-        lines.append(f"  {render(row.vector)} = 0  ; <{','.join(row.source)}>")
+        lines.append(f"  {render(row.vector)} = 0  ; <{','.join(sources[row.node])}>")
     lines.append(f"  {render(cs.min_arc_row())} >= 1")
     for index in sorted(inst.fixings):
         lines.append(f"  {names[index]} = {inst.fixings[index]}")

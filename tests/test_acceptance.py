@@ -44,7 +44,13 @@ from regionminer.regions import (
 )
 
 from .conftest import DATA
-from .util import admissible_pairs, random_instance, random_log, random_use_system
+from .util import (
+    admissible_pairs,
+    from_traces,
+    random_instance,
+    random_log,
+    random_use_system,
+)
 
 
 def _report(number: int, failures: list) -> None:
@@ -194,16 +200,19 @@ def _trivial_assignment(cs, a, b):
     return vec
 
 
-def _violated_rows(cs, vec):
-    """Rows of ``cs`` that the assignment ``vec`` breaks."""
+def _violated_rows(cs, pc, vec):
+    """Source prefixes (rendered from ``pc``, the closure of ``cs``) of the
+    rows that the assignment ``vec`` breaks."""
 
     def dot(row):
         return sum(c * v for c, v in zip(row, vec))
 
-    return (
-        [row.source for row in cs.inequality_rows if dot(row.vector) < 0]
-        + [row.source for row in cs.equality_rows if dot(row.vector) != 0]
-        + (["minimum arc"] if dot(cs.min_arc_row()) < 1 else [])
+    broken = [row.node for row in cs.inequality_rows if dot(row.vector) < 0] + [
+        row.node for row in cs.equality_rows if dot(row.vector) != 0
+    ]
+    sources = pc.render(broken)
+    return [sources[node] for node in broken] + (
+        ["minimum arc"] if dot(cs.min_arc_row()) < 1 else []
     )
 
 
@@ -238,7 +247,7 @@ def test_criterion_06_lemma_one_suite():
                     failures.append(
                         f"log {index}, alpha {alpha}: pair ({a}, {b}) infeasible"
                     )
-                violated = _violated_rows(system, trivial)
+                violated = _violated_rows(system, pc, trivial)
                 if violated:
                     failures.append(
                         f"log {index}, alpha {alpha}: trivial solution for ({a}, {b}) "
@@ -332,7 +341,7 @@ def _simulate(wfnet: WorkflowNet, count: int, seed: int) -> EventLog:
             trace.append(wfnet.net.labels[choice])
             marking = fire(wfnet.net, marking, choice)
         traces.append(tuple(trace))
-    return EventLog.from_traces(traces)
+    return from_traces(traces)
 
 
 def test_criterion_09_noise_trend():

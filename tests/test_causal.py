@@ -14,7 +14,7 @@ from regionminer.causal import (
 from regionminer.errors import GraphRepairError
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 
-from .util import oracle_repair
+from .util import from_traces, oracle_repair
 
 
 def use_closure(log):
@@ -134,7 +134,7 @@ def test_build_causal_graph_rejects_non_use_log(l1):
     ],
 )
 def test_build_causal_graph_rejects_non_use_closures(traces):
-    log = EventLog.from_traces(traces)
+    log = from_traces(traces)
     assert not is_use_log(log, "s", "e")
     with pytest.raises(ValueError, match="unique-start/end"):
         build_causal_graph(prefix_closure(log, "s", "e"))
@@ -192,7 +192,7 @@ def test_directly_follows_on_the_tree_matches_event_walk(pairs):
 
 @given(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=4), min_size=1, max_size=6))
 def test_threshold_monotonicity(raw_traces):
-    pc = use_closure(EventLog.from_traces(raw_traces))
+    pc = use_closure(from_traces(raw_traces))
     low = build_causal_graph(pc, threshold=0.5)
     high = build_causal_graph(pc, threshold=0.8)
     assert high.arcs <= low.arcs

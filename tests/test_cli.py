@@ -14,6 +14,7 @@ from regionminer.petri import parse_pnml
 from regionminer.regions import build_constraint_system, instantiate_causal_ilp
 
 from .conftest import DATA
+from .util import visible_labels
 
 ROOT = DATA.parent.parent
 
@@ -110,7 +111,7 @@ def test_discover_from_xes(workspace):
     )
     assert code == 0
     wfnet = parse_pnml(pnml.read_bytes())
-    assert wfnet.net.visible_labels() == {"a", "b", "c"}
+    assert visible_labels(wfnet.net) == {"a", "b", "c"}
 
 
 def test_evaluate_mismatched_alphabet_fails(workspace, capsys):

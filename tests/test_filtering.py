@@ -17,6 +17,7 @@ from regionminer.regions import (
 )
 
 from .conftest import DATA
+from .util import from_traces
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +258,7 @@ def test_graph_acyclic_on_random_logs():
             tuple(rng.choice("abcd") for _ in range(rng.randint(1, 5)))
             for _ in range(rng.randint(1, 6))
         ]
-        log = EventLog.from_traces(traces)
+        log = from_traces(traces)
         use, start, end = use_transform(log)
         for pc in (prefix_closure(log), prefix_closure(use, start, end)):
             graph = build_graph(pc)

@@ -127,7 +127,7 @@ def _contradicted_instance():
     contradicted = replace(
         cs,
         inequality_rows=cs.inequality_rows
-        + (Row(vector=tuple(forcing), source=("a",), weight=1),),
+        + (Row(vector=tuple(forcing), node=0, weight=1),),
     )
     return ILPInstance(system=contradicted, fixings={cs.x_index("a"): 1})
 
@@ -264,7 +264,7 @@ def test_dimension_mismatch_raises():
     _, cs = _tiny_use_instance()
     broken = replace(
         cs,
-        inequality_rows=cs.inequality_rows + (Row(vector=(1, 0), source=(), weight=1),),
+        inequality_rows=cs.inequality_rows + (Row(vector=(1, 0), node=0, weight=1),),
     )
     with pytest.raises(SolverError):
         solve(ILPInstance(system=broken, fixings={}))
@@ -394,7 +394,7 @@ def _padded(cs, rng):
             vector = tuple(factor * a for a in first)
         else:
             vector = (0,) * len(first)
-        rows.insert(rng.randint(0, len(rows)), Row(vector=vector, source=(), weight=1))
+        rows.insert(rng.randint(0, len(rows)), Row(vector=vector, node=0, weight=1))
     return replace(cs, equality_rows=tuple(rows))
 
 
@@ -449,9 +449,9 @@ def test_coefficients_beyond_int64_pivot_exactly():
         alphabet=("a", "b"),
         inequality_rows=(
             # x(b) = 1 forces x(a) = 1
-            Row(vector=(0, big + 1, -big, 0, 0), source=(), weight=1),
+            Row(vector=(0, big + 1, -big, 0, 0), node=0, weight=1),
             # y(a) = 1 forces m = 1 or y(b) = 1
-            Row(vector=(3 * big, 0, 0, -(3 * big) + 7, 3 * big), source=(), weight=1),
+            Row(vector=(3 * big, 0, 0, -(3 * big) + 7, 3 * big), node=0, weight=1),
         ),
         equality_rows=(),
         objective=(5, 3, 4, 2, 7),
@@ -578,8 +578,8 @@ def test_bound_rounds_the_relaxation_up():
     cs = ConstraintSystem(
         alphabet=("a", "b"),
         inequality_rows=(
-            Row(vector=(-2, 0, 0, 1, -2), source=(), weight=1),
-            Row(vector=(0, 0, 2, -1, 1), source=(), weight=1),
+            Row(vector=(-2, 0, 0, 1, -2), node=0, weight=1),
+            Row(vector=(0, 0, 2, -1, 1), node=0, weight=1),
         ),
         equality_rows=(),
         objective=(0,) * 5,

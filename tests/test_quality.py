@@ -18,7 +18,7 @@ from regionminer.quality import (
     token_fitness,
 )
 
-from .util import oracle_evaluate
+from .util import oracle_evaluate, visible_labels
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +271,7 @@ def _nets_and_logs(draw):
         arcs += [(first, "s0"), ("s0", second), (second, "s1"), ("s1", first)]
         labels.update(s0=None, s1=None)
     net = PetriNet(places, labels, arcs, labels)
-    visible = sorted(net.visible_labels())
+    visible = sorted(visible_labels(net))
     trace = st.lists(st.sampled_from(visible), max_size=6) if visible else st.just([])
     pairs = draw(st.lists(st.tuples(trace, st.integers(1, 4)), min_size=1, max_size=5))
     return WorkflowNet(net=net, source="i", sink="o"), EventLog.from_pairs(pairs)

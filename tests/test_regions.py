@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from regionminer.regions import (
     sequence_encoding,
 )
 
-from .util import admissible_pairs
+from .util import admissible_pairs, from_traces
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +68,7 @@ def test_build_system_single_trace():
     assert len(cs.equality_rows) == 1
     # first row stems from <start>: m - y(start) >= 0
     first = cs.inequality_rows[0]
-    assert first.source == (start,)
+    assert pc.render([first.node])[first.node] == (start,)
     expected = [0] * cs.n_vars
     expected[0] = 1
     expected[cs.y_index(start)] = -1
@@ -218,7 +220,7 @@ small_logs = st.lists(
 
 @given(small_logs)
 def test_trivial_regions_always_pass(raw):
-    use, start, end = use_transform(EventLog.from_traces(raw))
+    use, start, end = use_transform(from_traces(raw))
     pc = prefix_closure(use, start, end)
     n = len(pc.ordered_alphabet())
     zero = RegionCandidate(0, (0,) * n, (0,) * n)
@@ -242,11 +244,30 @@ def test_retained_ids_must_be_non_root_vertices(pc_l1, bad):
         build_constraint_system(pc_l1, retained=[1, vertex, count + 1])
 
 
+def test_constraint_system_grows_linearly_with_a_long_trace():
+    # on one a (b c)^k d trace every node is its own row; a whole source
+    # prefix per row would peak at about 62 MiB for these 4,000 events,
+    # one node per row at about 0.5 MiB
+    trace = ("a",) + ("b", "c") * 1999 + ("d",)
+    pc = prefix_closure(*use_transform(EventLog(traces={trace: 1})))
+    pc.numbering  # the closure's own cached numbering is not measured here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cs = build_constraint_system(pc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cs.inequality_rows) == 4002
+    assert peak < 2 * 2**20
+
+
 def test_lp_text_renders(pc_l1):
     cs = build_constraint_system(pc_l1)
     inst = instantiate_causal_ilp(cs, "a", "b")
-    text = lp_text(inst)
+    text = lp_text(inst, pc_l1)
     assert text.startswith("minimize")
+    assert f" >= 0  ; <{pc_l1.start},a>\n" in text
     assert "x(a) = 1" in text
     assert ">= 1" in text
 
@@ -288,17 +309,19 @@ def test_filtered_equalities_follow_the_per_cut_rule(pairs, data):
         st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors))
     )
     retained = {vector for vector, flag in zip(vectors, flags) if flag}
+    # an equality row's node is the first full trace of its group
+    node_of = {prefix: node for node, prefix in enumerate(pc.entries)}
     groups: dict = {}
     for trace in sorted(use.traces, key=lambda t: (len(t), t)):
         cuts = range(1, len(trace) + 1)
         if all(sequence_encoding(trace[:cut], alphabet) in retained for cut in cuts):
             whole = sequence_encoding(trace, alphabet)[n + 1 :]
             vector = (1,) + tuple(-c for c in whole) + whole
-            source, weight = groups.get(vector, (trace, 0))
-            groups[vector] = (source, weight + use.traces[trace])
+            node, weight = groups.get(vector, (node_of[trace], 0))
+            groups[vector] = (node, weight + use.traces[trace])
     system = build_constraint_system(pc, map(pc.numbering.vertices.index, retained))
     assert system.equality_rows == tuple(
-        Row(vector, source, weight) for vector, (source, weight) in groups.items()
+        Row(vector, node, weight) for vector, (node, weight) in groups.items()
     )
     assert system.inequality_rows == tuple(
         row for row in full.inequality_rows if row.vector in retained
@@ -371,23 +394,25 @@ def test_numbering_matches_hashing_each_node_row(pairs, wrapped, data):
                         queue.append(child)
         return retained
 
+    # an inequality row's node is the first node with that row
     groups: dict = {}
-    for row, prefix, freq in zip(rows[1:], prefixes[1:], pc.frequencies[1:]):
-        source, weight = groups.get(row, (prefix, 0))
-        groups[row] = (source, weight + freq)
+    for node, row, freq in zip(range(1, len(rows)), rows[1:], pc.frequencies[1:]):
+        first, weight = groups.get(row, (node, 0))
+        groups[row] = (first, weight + freq)
     row_of = dict(zip(prefixes, rows))
     n = len(alphabet)
 
     def reference_rows(retained):
-        # a full trace keeps its equality row when every cut's row survived
+        # a full trace keeps its equality row when every cut's row survived;
+        # the row's node is the first full trace of its group
         equalities: dict = {}
-        for prefix, mult in zip(prefixes, pc.multiplicities):
+        for node, (prefix, mult) in enumerate(zip(prefixes, pc.multiplicities)):
             cuts = (prefix[:cut] for cut in range(1, len(prefix) + 1))
             if mult and (retained is None or all(row_of[c] in retained for c in cuts)):
                 tail = row_of[prefix][n + 1 :]
                 vector = (1,) + tuple(-c for c in tail) + tail
-                source, weight = equalities.get(vector, (prefix, 0))
-                equalities[vector] = (source, weight + mult)
+                first, weight = equalities.get(vector, (node, 0))
+                equalities[vector] = (first, weight + mult)
         inequalities = {
             vector: value
             for vector, value in groups.items()

@@ -15,6 +15,16 @@ from regionminer.quality import QualityReport
 from regionminer.regions import build_constraint_system, instantiate_causal_ilp
 
 
+def from_traces(traces) -> EventLog:
+    """A log of one instance per trace, duplicate traces summed."""
+    return EventLog.from_pairs((trace, 1) for trace in traces)
+
+
+def visible_labels(net) -> set[str]:
+    """The labels of a net's visible (non-silent) transitions."""
+    return {label for label in net.labels.values() if label is not None}
+
+
 def random_log(
     rng: random.Random,
     max_alphabet: int = 6,
