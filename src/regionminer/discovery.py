@@ -117,12 +117,14 @@ def run_discovery(log: EventLog, options: DiscoveryOptions | None = None) -> Dis
     for pair in sorted(causal.arcs):
         solution = solver(instantiate_causal_ilp(system, *pair))
         logger.debug(
-            "pair (%s, %s): %s, objective %s, %d nodes, %d pivots",
+            "pair (%s, %s): %s, objective %s, %d nodes, %d pivots, %d LPs, %d rows added",
             *pair,
             solution.status,
             solution.objective,
             solution.nodes,
             solution.pivots,
+            solution.lps,
+            solution.rows,
         )
         if solution.status != "optimal":
             a, b = pair

@@ -210,9 +210,11 @@ def test_debug_log_reports_solver_counters(l1, caplog):
     for (a, b), solution in solutions.items():
         assert (
             f"pair ({a}, {b}): optimal, objective {solution.objective}, "
-            f"{solution.nodes} nodes, {solution.pivots} pivots"
+            f"{solution.nodes} nodes, {solution.pivots} pivots, "
+            f"{solution.lps} LPs, {solution.rows} rows added"
         ) in messages
         assert solution.nodes >= 1
+        assert solution.lps >= solution.nodes
 
 
 def test_options_validate_ranges():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regionminer import DiscoveryOptions, ilp, run_discovery
+from regionminer import DiscoveryOptions, ilp, parse_trace_log, run_discovery
 from regionminer.errors import SolverError
+from regionminer.filtering import build_graph, make_kappa_max, sef_bfs
 from regionminer.eventlog import EventLog, prefix_closure, use_transform
 from regionminer.ilp import brute_force, solve
 from regionminer.petri import export_pnml
@@ -23,6 +25,7 @@ from .conftest import DATA
 from .util import (
     LPRelaxation,
     admissible_pairs,
+    column_slacks,
     lp_relax,
     random_instance,
     random_use_system,
@@ -973,3 +976,168 @@ def test_signed_objectives_match_brute_force(seed):
     if oracle.status == "optimal":
         assert relaxed.status == "optimal"
         assert relaxed.value <= oracle.objective
+
+
+def _region_systems(request):
+    """The systems of l1, l1_prime and loop.log at alpha None, 0.75 and
+    0.5, and of 40 random_instance seeds, some of them filtered; built
+    without solving, as ``run_discovery`` builds them."""
+    logs = [request.getfixturevalue(name) for name in ("l1", "l1_prime")]
+    logs.append(parse_trace_log((DATA / "loop.log").read_text()))
+    systems = []
+    for log in logs:
+        pc = prefix_closure(*use_transform(log))
+        graph = build_graph(pc)
+        systems.append(build_constraint_system(pc))
+        for alpha in (0.75, 0.5):
+            retained = sef_bfs(graph, make_kappa_max(graph, alpha))
+            systems.append(build_constraint_system(pc, retained))
+    systems += [random_instance(random.Random(seed)).system for seed in range(40)]
+    return systems
+
+
+def _points(rng, width):
+    """0/1 points, and signed integer points over a random denominator."""
+    for _ in range(6):
+        yield [rng.randint(0, 1) for _ in range(width)], 1
+        yield [rng.randint(-9, 9) for _ in range(width)], rng.randint(1, 12)
+
+
+def test_tree_slacks_equal_the_column_reference(request):
+    # one pass along the Parikh tree gives every row's slack as the
+    # column-wise sum does, row for row, for the body and the equalities;
+    # satisfies, which shares one pass between them, agrees too
+    rng = random.Random(27)
+    for cs in _region_systems(request):
+        compiled = ilp._Compiled(cs)
+        inequalities, equalities = ilp._system_rows(cs)
+        body, eqs = compiled.body, compiled.equalities
+        assert sorted(body.rows) == sorted(set(inequalities))
+        assert sorted(eqs.rows) == sorted(set(equalities))
+        for num, den in _points(rng, cs.n_vars):
+            slack = column_slacks(body.rows, num, den)
+            eq_slack = column_slacks(eqs.rows, num, den)
+            assert body.slacks(num, den) == slack
+            assert eqs.slacks(num, den) == eq_slack
+            if den == 1 and set(num) <= {0, 1}:
+                assert compiled.satisfies(num) == (min(slack) >= 0 and not any(eq_slack))
+
+
+def test_tree_slacks_equal_the_column_reference_at_solver_points(monkeypatch):
+    # the LP and 0/1 points that row generation and verify meet while
+    # solving; signed objectives start the root with variables at their
+    # upper bound, so the points differ from the unsigned ones
+    tree_slacks = ilp._Pending.slacks
+    dens = set()
+
+    def checked(self, num, den, u=None):
+        slack = tree_slacks(self, num, den, u)
+        assert slack == column_slacks(self.rows, num, den)
+        dens.add(den)
+        return slack
+
+    monkeypatch.setattr(ilp._Pending, "slacks", checked)
+    rng = random.Random(27)
+    for seed in range(40):
+        inst = random_instance(random.Random(seed))
+        signed = tuple(rng.randint(-9, 9) for _ in inst.system.objective)
+        inst = replace(inst, system=replace(inst.system, objective=signed))
+        assert solve(inst) == brute_force(inst), seed
+    assert 1 in dens and max(dens) > 1
+
+
+def test_only_the_minimum_arc_row_leaves_the_tree(request):
+    # every inequality and equality row of a region system is read off the
+    # tree, filtered systems included; the minimum-arc row is summed
+    for cs in _region_systems(request):
+        compiled = ilp._Compiled(cs)
+        assert compiled.body.others == [(cs.min_arc_row(), 1)]
+        assert compiled.equalities.others == []
+        assert len(compiled.body.rows) == len(cs.inequality_rows) + 1
+
+
+def _row(m, head, whole, rhs=0):
+    """The row ``(m, head, -whole) . v >= rhs`` over three activities."""
+    return (m, *head, *(-c for c in whole)), rhs
+
+
+def test_tree_keys_only_rows_of_the_region_form():
+    tree = ilp._Tree(7)
+    on_tree = [
+        _row(1, (0, 0, 0), (1, 0, 0)),  # reaches (1, 0, 0)
+        _row(1, (1, 0, 0), (1, 1, 0)),  # reaches (1, 1, 0)
+        _row(1, (0, 0, 0), (0, 0, 1)),  # reaches (0, 0, 1)
+        _row(1, (1, 1, 0), (1, 1, 0)),  # an equality's form
+        _row(1, (0, 0, 1), (1, 0, 1)),  # reaches (1, 0, 1)
+        _row(1, (1, 0, 0), (1, 0, 1)),  # a second way into (1, 0, 1)
+    ]
+    off_tree = [
+        _row(1, (0, 0, 2), (0, 0, 3)),  # head never reached
+        _row(1, (0, 1, 0), (1, 1, 0)),  # head never reached, whole reached
+        _row(1, (0, 0, 0), (1, 0, 0), rhs=1),  # rhs != 0
+        _row(2, (0, 0, 0), (1, 0, 0)),  # coefs[0] != 1
+        _row(0, (0, 0, 0), (1, 0, 0)),
+        _row(1, (0, 0, 0), (1, 1, 0)),  # two +1 steps
+        _row(1, (1, 0, 0), (0, 0, 0)),  # a -1 step
+        _row(1, (1, 0, 0), (0, 1, 0)),  # one step up, one down
+        _row(1, (2, 0, 0), (2, 0, 0)),  # an equality's form, head not reached
+    ]
+    # head (0, 0, 1) comes before the row that reaches it: off the tree
+    early = _row(1, (0, 0, 1), (0, 0, 2))
+    rows = [early, on_tree[0], off_tree[0], *on_tree[1:3], *off_tree[1:], *on_tree[3:]]
+    body = ilp._Pending(rows + [on_tree[1]], tree)  # a duplicate is dropped
+    assert body.rows == on_tree + [early] + off_tree
+    assert tree.ids == {
+        (0, 0, 0): 0, (1, 0, 0): 1, (1, 1, 0): 2, (0, 0, 1): 3, (1, 0, 1): 4
+    }
+    assert (tree.parents, tree.lasts) == ([0, 1, 0, 3], [0, 1, 2, 0])
+    # the equalities share the tree: rows in and out of an equality's form
+    equalities = ilp._Pending(
+        [
+            _row(1, (1, 0, 1), (1, 0, 1)),
+            _row(1, (1, 0, 0), (1, 1, 0)),
+            _row(1, (0, 2, 0), (0, 2, 0)),
+            _row(1, (1, 0, 0), (0, 1, 0)),
+        ],
+        tree,
+    )
+    assert len(equalities.others) == 2
+    rng = random.Random(3)
+    for pending in (body, equalities):
+        for num, den in _points(rng, 7):
+            assert pending.slacks(num, den) == column_slacks(pending.rows, num, den)
+
+
+def test_solution_counts_lps_and_rows(l1):
+    # re-optimisations and added rows over a pair's nodes: each node
+    # re-optimises once, then once per round of at most _ROW_BATCH rows
+    solutions = []
+
+    def counting_solve(inst):
+        solutions.append(solve(inst))
+        return solutions[-1]
+
+    run_discovery(l1, DiscoveryOptions(solver=counting_solve))
+    for s in solutions:
+        rounds = s.lps - s.nodes
+        assert rounds <= s.rows <= ilp._ROW_BATCH * rounds
+    assert (sum(s.lps for s in solutions), sum(s.rows for s in solutions)) == (23, 58)
+    # work counters, like nodes and pivots, are not part of the optimum
+    first = solutions[0]
+    assert replace(first, lps=first.lps + 1, rows=first.rows + 1) == first
+
+
+def test_compiled_system_grows_linearly_with_a_long_trace():
+    # on one a (b c)^k d trace every node is its own row and its own
+    # Parikh vector: the tree keeps one parent and one activity per id
+    trace = ("a",) + ("b", "c") * 1999 + ("d",)
+    cs = build_constraint_system(prefix_closure(*use_transform(EventLog(traces={trace: 1}))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        compiled = ilp._Compiled(cs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(compiled.tree.parents) == len(cs.inequality_rows) == 4002
+    assert peak < 2 * 2**20

@@ -90,9 +90,20 @@ def solve_lp(rows, costs, upper, fixings=None, start=()):
     simplex = ilp._Simplex(list(start), costs, upper)
     for index, value in (fixings or {}).items():
         simplex.fix(index, value)
-    status, point = ilp._Pending(rows, len(costs)).optimum(simplex)
+    status, point = ilp._Pending(rows, ilp._Tree(len(costs))).optimum(simplex)
     num, den = point or ([], 1)
     return status, [Fraction(v, den) for v in num]
+
+
+def column_slacks(rows, num, den):
+    """Reference for ``ilp._Pending.slacks``: ``den`` times each row's
+    slack at ``num / den``, the rows stored column-wise and each nonzero
+    entry of the point adding its column."""
+    slack = [-rhs * den for _, rhs in rows]
+    for j, value in enumerate(num):
+        if value:
+            slack = [s + value * coefs[j] for s, (coefs, _) in zip(slack, rows)]
+    return slack
 
 
 @dataclass(frozen=True)
